@@ -91,6 +91,12 @@ impl AutoencoderDetector {
         self.config.window
     }
 
+    /// The flattened window width the fitted network takes (0 until
+    /// fitted).
+    pub fn input_width(&self) -> usize {
+        self.model.as_ref().map_or(0, |m| m.in_dim())
+    }
+
     /// Serialize the config and (if fitted) the trained network into `w`.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_usize(self.config.window);

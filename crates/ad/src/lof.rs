@@ -122,6 +122,15 @@ impl LofDetector {
         (neighbour_lrd / own_lrd).max(0.0)
     }
 
+    /// The record width the fitted reference set takes (0 until fitted).
+    pub fn dims(&self) -> usize {
+        if self.kernel.is_empty() {
+            0
+        } else {
+            self.kernel.dims()
+        }
+    }
+
     /// Score one record against the frozen reference set — the streaming
     /// engine's per-tick path. Bitwise equal to the record's batch score:
     /// the kernel pins each query row's distances independent of the

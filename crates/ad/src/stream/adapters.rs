@@ -35,6 +35,11 @@ impl StreamingKnn {
         Self { det }
     }
 
+    /// The record width the adapter scores (0 until fitted).
+    pub fn dims(&self) -> usize {
+        self.det.dims()
+    }
+
     /// Serialize the wrapped detector (the adapter itself is stateless).
     pub fn encode(&self, w: &mut ByteWriter) {
         self.det.encode(w);
@@ -70,6 +75,11 @@ impl StreamingLof {
     /// Wrap a fitted detector.
     pub fn new(det: LofDetector) -> Self {
         Self { det }
+    }
+
+    /// The record width the adapter scores (0 until fitted).
+    pub fn dims(&self) -> usize {
+        self.det.dims()
     }
 
     /// Serialize the wrapped detector (the adapter itself is stateless).
@@ -114,6 +124,17 @@ impl StreamingAe {
     pub fn new(det: AutoencoderDetector, dims: usize) -> Self {
         let w = det.window_len();
         Self { ring: RingWindow::new(w, dims), flat: vec![0.0; w * dims], det }
+    }
+
+    /// The record width the adapter scores: 0 when the network is
+    /// unfitted or does not take `window * dims` inputs.
+    pub fn dims(&self) -> usize {
+        let dims = self.ring.dims();
+        if self.det.input_width() == self.det.window_len() * dims {
+            dims
+        } else {
+            0
+        }
     }
 
     /// Serialize the wrapped detector *and* the in-flight ring contents

@@ -97,6 +97,11 @@ impl CusumDetector {
         Self { config, profile: ZProfile::default(), pos: Vec::new(), neg: Vec::new() }
     }
 
+    /// The record width the fitted detector scores (0 until fitted).
+    pub fn dims(&self) -> usize {
+        self.profile.dims()
+    }
+
     /// The shared per-record recurrence of the batch and streaming paths.
     fn step(&mut self, record: &[f64]) -> f64 {
         assert_eq!(record.len(), self.profile.dims(), "dimension mismatch");
@@ -225,6 +230,11 @@ impl PageHinkleyDetector {
             down: Vec::new(),
             min_down: Vec::new(),
         }
+    }
+
+    /// The record width the fitted detector scores (0 until fitted).
+    pub fn dims(&self) -> usize {
+        self.profile.dims()
     }
 
     /// The shared per-record recurrence of the batch and streaming paths.

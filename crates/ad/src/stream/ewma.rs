@@ -36,6 +36,11 @@ impl StreamingEwma {
         Self { alpha, error_scale, level: vec![f64::NAN; dims], started: false }
     }
 
+    /// The record width the detector scores.
+    pub fn dims(&self) -> usize {
+        self.level.len()
+    }
+
     /// Serialize the full state — fitted scales *and* the in-flight
     /// levels, so a restored detector continues the trace mid-stream.
     pub fn encode(&self, w: &mut ByteWriter) {

@@ -43,6 +43,11 @@ impl HistogramDetector {
         Self { config, hists: Vec::new() }
     }
 
+    /// The record width the fitted detector scores (0 until fitted).
+    pub fn dims(&self) -> usize {
+        self.hists.len()
+    }
+
     /// Rarity of one record: max over finite features of the smoothed
     /// negative log2 bin frequency.
     fn score_record(&self, record: &[f64]) -> f64 {

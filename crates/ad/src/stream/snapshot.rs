@@ -56,6 +56,22 @@ impl ServableDetector {
         }
     }
 
+    /// The record width the detector scores, or `None` when it takes
+    /// any width (spectral residual aggregates each record to one value).
+    /// A detector with no fitted state reports `Some(0)`.
+    pub fn width(&self) -> Option<usize> {
+        match self {
+            Self::Ewma(d) => Some(d.dims()),
+            Self::Cusum(d) => Some(d.dims()),
+            Self::PageHinkley(d) => Some(d.dims()),
+            Self::Histogram(d) => Some(d.dims()),
+            Self::SpectralResidual(_) => None,
+            Self::Ae(d) => Some(d.dims()),
+            Self::Knn(d) => Some(d.dims()),
+            Self::Lof(d) => Some(d.dims()),
+        }
+    }
+
     /// Serialize the detector — variant tag, then the variant's own
     /// state, bitwise.
     pub fn encode(&self, w: &mut ByteWriter) {

@@ -114,6 +114,38 @@ impl ServingProfile {
         (score, score > self.threshold)
     }
 
+    /// The record width [`ServingProfile::ingest`] takes: the PCA input
+    /// width if present, else the scaler's, else the detector's. `None`
+    /// when every stage accepts any width.
+    pub fn input_dim(&self) -> Option<usize> {
+        match (&self.pca, &self.scaler) {
+            (Some(pca), _) => Some(pca.input_dim()),
+            (None, Some(scaler)) => Some(scaler.means().len()),
+            (None, None) => self.detector.width(),
+        }
+    }
+
+    /// Check that every stage takes the width the previous one emits and
+    /// that the detector holds fitted state. Every decoded profile passes
+    /// this, so an [`input_dim`](Self::input_dim)-wide record reaches each
+    /// stage at the width it scores, and never an unfitted detector.
+    fn check_widths(&self) -> Result<(), CodecError> {
+        let mut width = self.pca.as_ref().map(Pca::n_components);
+        if let Some(scaler) = &self.scaler {
+            if width.is_some_and(|w| w != scaler.means().len()) {
+                return Err(CodecError::Corrupt("PCA output width differs from the scaler's"));
+            }
+            width = Some(scaler.means().len());
+        }
+        match self.detector.width() {
+            Some(0) => Err(CodecError::Corrupt("detector is not fitted")),
+            Some(d) if width.is_some_and(|w| w != d) => {
+                Err(CodecError::Corrupt("detector width differs from its input stage's"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Drop per-trace state (detector scratch), keeping the fitted model,
     /// scaler moments, and threshold.
     pub fn reset(&mut self) {
@@ -172,7 +204,9 @@ impl ServingProfile {
         let pca = if r.get_bool()? { Some(Pca::decode(r)?) } else { None };
         let detector = ServableDetector::decode(r)?;
         let threshold = r.get_f64()?;
-        Ok(Self { scaler, pca, detector, threshold })
+        let profile = Self { scaler, pca, detector, threshold };
+        profile.check_widths()?;
+        Ok(profile)
     }
 
     /// Decode from a byte image, requiring the image to end exactly at
@@ -291,6 +325,34 @@ mod tests {
         assert!(matches!(
             ServingProfile::from_bytes(&bytes),
             Err(CodecError::Corrupt("trailing bytes after checkpoint"))
+        ));
+    }
+
+    #[test]
+    fn input_dim_is_the_first_stage_width() {
+        let mut p = profile();
+        assert_eq!(p.input_dim(), Some(2));
+        p.scaler = None;
+        assert_eq!(p.input_dim(), Some(2), "without a scaler the detector sets the width");
+    }
+
+    #[test]
+    fn unservable_images_are_typed_errors() {
+        use exathlon_ad::knn_ad::{KnnConfig, KnnDetector};
+        use exathlon_ad::stream::StreamingKnn;
+        let unfitted = ServingProfile::new(
+            StreamingKnn::new(KnnDetector::new(KnnConfig { k: 3, max_references: 8 })).into(),
+            1.0,
+        );
+        assert!(matches!(
+            ServingProfile::from_bytes(&unfitted.to_bytes()),
+            Err(CodecError::Corrupt("detector is not fitted"))
+        ));
+        let mut wide = profile();
+        wide.scaler = Some(DynamicScaler::from_state(vec![0.0; 3], vec![1.0; 3], 0.01));
+        assert!(matches!(
+            ServingProfile::from_bytes(&wide.to_bytes()),
+            Err(CodecError::Corrupt("detector width differs from its input stage's"))
         ));
     }
 

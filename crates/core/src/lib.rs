@@ -37,7 +37,7 @@
 //! allocation-free HTTP wire format, the gatekeeper hosting many
 //! `(app, entity)` tenants concurrently, and the consistent-hash router
 //! tier that scales the fleet horizontally with checkpoint-driven
-//! rebalance.
+//! rebalance. Both tiers run on one private `epoll` reactor (`net`).
 
 pub mod checkpoint;
 pub mod config;
@@ -45,6 +45,7 @@ pub mod edrun;
 pub mod evaluate;
 pub mod experiment;
 pub mod model;
+mod net;
 pub mod obs;
 pub mod par;
 pub mod partition;

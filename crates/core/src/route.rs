@@ -37,9 +37,15 @@
 //! status line tokenizes like a request line, with the status code
 //! landing in the `path` span.
 //!
-//! Workers reuse the gatekeeper's striped nonblocking model (one
+//! Workers run on the reactor the gatekeeper uses (`core::net`: one
 //! acceptor round-robins sockets over bounded per-worker queues; each
-//! worker multiplexes its connections without locks). In-flight
+//! worker multiplexes its connections without locks and waits for
+//! `epoll` readiness when idle). Upstream sockets are registered with the
+//! worker's epoll instance when they connect, so a backend's reply wakes
+//! the worker. Before blocking, a router worker spends 16 `yield_now`
+//! sweeps after its last progress: a reply usually lands within
+//! microseconds of the forwarded request, and blocking at once would add
+//! two wake-ups to every hop. In-flight
 //! requests are bounded per backend; past the bound the router sheds
 //! with `503` + `Retry-After` instead of queueing. A request that dies
 //! on a stale pooled connection — the backend's idle timeout closes the
@@ -67,18 +73,17 @@
 //! owner fails that key's migration loudly, it does not wedge the ring.
 
 use crate::checkpoint::is_image;
+use crate::net::{fill_in, flush_out, Conn, Handler, Poll, Poller, Server};
 use crate::registry::key_hash;
-use crate::serve::{accept_striped, alloc_probe};
+use crate::serve::alloc_probe;
 use crate::wire::{self, HeadParse};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Largest accepted head block, both directions.
@@ -314,19 +319,15 @@ impl RouterShared {
 /// A running router. Dropping it (or calling [`Router::shutdown`]) stops
 /// the acceptor and joins every worker.
 pub struct Router {
-    addr: SocketAddr,
     shared: Arc<RouterShared>,
     vnodes: u16,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    server: Server,
 }
 
 #[derive(Clone, Copy)]
 struct WorkerCfg {
     read_timeout: Duration,
     upstream_timeout: Duration,
-    max_conns: usize,
     max_inflight: u64,
     max_body_bytes: usize,
 }
@@ -352,7 +353,6 @@ impl Router {
             }
         }
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let nodes: Vec<Arc<BackendNode>> = backends
             .iter()
             .map(|(label, addr)| {
@@ -371,50 +371,46 @@ impl Router {
             keys: Mutex::new(HashMap::new()),
             stats: RouterCounters::default(),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let probe = alloc_probe();
-        let wcfg = WorkerCfg {
+        let cfg = WorkerCfg {
             read_timeout: config.read_timeout,
             upstream_timeout: config.upstream_timeout,
-            max_conns: config.max_conns_per_worker.max(1),
             max_inflight: config.max_inflight_per_backend,
             max_body_bytes: config.max_body_bytes,
         };
-
-        let mut txs = Vec::new();
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.accept_queue.max(1));
-                txs.push(tx);
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name(format!("rt-worker-{i}"))
-                    .spawn(move || worker_loop(rx, &shared, &stop, wcfg, probe))
-                    .expect("spawn router worker")
+        let probe = alloc_probe();
+        let handlers = (0..config.workers.max(1))
+            .map(|_| RouteWorker {
+                shared: Arc::clone(&shared),
+                cfg,
+                probe,
+                ring: Ring::default(),
+                backends: Vec::new(),
+                generation: 0,
+                pools: Pools { by_addr: Vec::new() },
+                scratch: Scratch { tmp: vec![0u8; 64 << 10], body: String::new() },
             })
             .collect();
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
+        let on_shed = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("rt-acceptor".into())
-                .spawn(move || {
-                    accept_striped(listener, txs, &stop, &|| {
-                        shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        crate::obs::counter("route.rejected", 1);
-                    })
-                })
-                .expect("spawn router acceptor")
+            move || {
+                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                crate::obs::counter("route.rejected", 1);
+            }
         };
-
-        Ok(Self { addr: local, shared, vnodes, stop, acceptor: Some(acceptor), workers })
+        let server = Server::spawn(
+            listener,
+            "rt",
+            handlers,
+            config.accept_queue,
+            config.max_conns_per_worker,
+            on_shed,
+        )?;
+        Ok(Self { shared, vnodes, server })
     }
 
     /// The bound client-facing address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Router counters.
@@ -519,27 +515,8 @@ impl Router {
     }
 
     /// Stop accepting, close striped connections, join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
-    }
-
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.stop_threads();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -649,9 +626,19 @@ struct RespHead {
     keep_alive: bool,
 }
 
+/// A claimed in-flight slot on a backend, released when dropped: the
+/// exchange completed, failed, or died with its client connection.
+struct Slot(Arc<BackendNode>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// One proxied exchange in flight on a client connection.
 struct Inflight {
-    backend: Arc<BackendNode>,
+    slot: Slot,
     upstream: TcpStream,
     buf: Vec<u8>,
     /// Response bytes received into `buf`.
@@ -678,20 +665,12 @@ struct Inflight {
     client_keep_alive: bool,
 }
 
-/// One multiplexed client connection.
-struct Conn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    /// Router-local responses (healthz, stats, 404/502/503). Proxied
-    /// responses bypass it — they relay straight from the upstream
-    /// buffer — so the worker always flushes `outbuf` fully before
-    /// relaying, keeping response order equal to request order.
-    outbuf: Vec<u8>,
-    out_pos: usize,
-    last_active: Instant,
-    close_after_flush: bool,
-    inflight: Option<Inflight>,
-}
+/// A client connection. Its `outbuf` holds router-local responses
+/// (healthz, stats, 404/502/503); proxied responses bypass it and relay
+/// straight from the upstream buffer, so the worker always flushes
+/// `outbuf` fully before relaying, keeping response order equal to
+/// request order.
+type ClientConn = Conn<Option<Inflight>>;
 
 /// Per-worker reusable workspaces.
 struct Scratch {
@@ -716,293 +695,345 @@ impl Pools {
     }
 }
 
-fn worker_loop(
-    rx: Receiver<TcpStream>,
-    shared: &RouterShared,
-    stop: &AtomicBool,
+/// One router worker: client requests in, upstream exchanges out.
+struct RouteWorker {
+    shared: Arc<RouterShared>,
     cfg: WorkerCfg,
     probe: Option<fn() -> u64>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut buf_pool: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut pools = Pools { by_addr: Vec::new() };
-    let mut scratch = Scratch { tmp: vec![0u8; 64 << 10], body: String::new() };
-    let mut ring = Ring::default();
-    let mut backends: Vec<Arc<BackendNode>> = Vec::new();
-    let mut generation = 0u64;
-    let mut idle_spins = 0u32;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
+    /// Lock-free copy of the ring and its backends, refreshed when
+    /// `shared.generation` moves.
+    ring: Ring,
+    backends: Vec<Arc<BackendNode>>,
+    generation: u64,
+    pools: Pools,
+    scratch: Scratch,
+}
+
+impl Handler for RouteWorker {
+    type Exchange = Option<Inflight>;
+
+    // A dispatched request's reply usually lands within microseconds in a
+    // closed loop: spin a few yields before paying for a blocking wait.
+    const IDLE_YIELDS: u32 = 16;
+
+    /// Refresh the lock-free local ring copy when the ring changed (the
+    /// lock is only ever taken here and on rebalances). The reactor runs
+    /// this *after* admitting queued connections: a rebalance that
+    /// completed while this worker was parked must be visible before any
+    /// connection admitted afterwards is dispatched, else a migrated key
+    /// would route to its old (already-drained) owner.
+    fn refresh(&mut self) {
+        let g = self.shared.generation.load(Ordering::Acquire);
+        if g != self.generation {
+            let st = self.shared.state.lock();
+            self.ring = st.ring.clone();
+            self.backends = st.backends.clone();
+            self.generation = g;
         }
-        while conns.len() < cfg.max_conns {
-            match rx.try_recv() {
-                Ok(s) => conns.push(admit(s, &mut buf_pool)),
-                Err(_) => break,
-            }
-        }
-        if conns.is_empty() {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(s) => conns.push(admit(s, &mut buf_pool)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // Refresh the lock-free local ring copy when the ring changed
-        // (the lock is only ever taken here and on rebalances). This
-        // sits *after* the admit block: a rebalance that completed while
-        // this worker was parked in `recv_timeout` must be visible
-        // before any connection admitted afterwards is dispatched, else
-        // a migrated key would route to its old (already-drained) owner.
-        let g = shared.generation.load(Ordering::Acquire);
-        if g != generation {
-            let st = shared.state.lock();
-            ring = st.ring.clone();
-            backends = st.backends.clone();
-            generation = g;
-        }
-        let now = Instant::now();
+    }
+
+    fn poll_conn(&mut self, conn: &mut ClientConn, poller: &Poller, now: Instant) -> Poll {
         let mut progressed = false;
-        let mut i = 0;
-        while i < conns.len() {
-            match poll_conn(
-                &mut conns[i],
-                shared,
-                &ring,
-                &backends,
-                &mut pools,
-                &mut scratch,
-                now,
-                cfg,
-                probe,
-            ) {
-                Poll::Keep(p) => {
-                    progressed |= p;
-                    i += 1;
-                }
-                Poll::Close => {
-                    let mut c = conns.swap_remove(i);
-                    if let Some(f) = c.inflight.take() {
-                        abort_inflight(f);
-                    }
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    buf_pool.push((c.inbuf, c.outbuf));
-                    progressed = true;
+        match flush_out(conn, now) {
+            Poll::Closed => return Poll::Closed,
+            Poll::Progress(p) => progressed |= p,
+        }
+
+        // Service the in-flight exchange first; local responses staged
+        // before it must be fully on the wire before its bytes relay.
+        if conn.exchange.is_some() && conn.out_pos == conn.outbuf.len() {
+            match self.service_inflight(conn, poller, now) {
+                Poll::Closed => return Poll::Closed,
+                Poll::Progress(p) => progressed |= p,
+            }
+        }
+
+        if conn.exchange.is_none() && !conn.close_after_flush {
+            match self.read_and_dispatch(conn, poller, now) {
+                Poll::Closed => return Poll::Closed,
+                Poll::Progress(p) => progressed |= p,
+            }
+            // A freshly dispatched exchange gets driven in the same poll so
+            // the request reaches the backend without waiting a loop turn.
+            if conn.exchange.is_some() && conn.out_pos == conn.outbuf.len() {
+                match self.service_inflight(conn, poller, now) {
+                    Poll::Closed => return Poll::Closed,
+                    Poll::Progress(p) => progressed |= p,
                 }
             }
         }
-        // Same single-core-friendly backoff as the gatekeeper workers.
+
+        match flush_out(conn, now) {
+            Poll::Closed => return Poll::Closed,
+            Poll::Progress(p) => progressed |= p,
+        }
+        if conn.close_after_flush && conn.exchange.is_none() && conn.out_pos == conn.outbuf.len() {
+            return Poll::Closed;
+        }
+        if now.duration_since(conn.last_active) > self.cfg.read_timeout && conn.exchange.is_none() {
+            return Poll::Closed;
+        }
+        Poll::Progress(progressed)
+    }
+}
+
+impl RouteWorker {
+    /// Drive the in-flight exchange: forward request bytes, accumulate the
+    /// response, relay it, then finalize (pooling, key tracking, counters).
+    /// Handles the stale-pool retry and upstream timeout.
+    fn service_inflight(&mut self, conn: &mut ClientConn, poller: &Poller, now: Instant) -> Poll {
+        let probe = self.probe;
+        let f = conn.exchange.as_mut().expect("caller checked inflight");
+        let before = (f.req_sent, f.resp_len, f.relayed);
+        loop {
+            let metered = f.metered;
+            let allocs_before = if metered { probe.map(|p| p()).unwrap_or(0) } else { 0 };
+            let outcome = drive(&mut conn.stream, &conn.inbuf, f, now);
+            if metered {
+                if let Some(p) = probe {
+                    f.allocs += p() - allocs_before;
+                }
+            }
+            match outcome {
+                Drive::Pending => {
+                    if now.duration_since(f.started) > self.cfg.upstream_timeout {
+                        let f = conn.exchange.take().expect("present");
+                        let msg = "upstream timed out";
+                        fail_exchange(conn, &self.shared, &mut self.scratch, f, msg);
+                    }
+                    break;
+                }
+                Drive::Done => {
+                    let f = conn.exchange.take().expect("present");
+                    finish_exchange(conn, &self.shared, &mut self.pools, f);
+                    break;
+                }
+                Drive::ClientGone => return Poll::Closed,
+                Drive::UpstreamGone => {
+                    // A pooled connection the backend's idle timeout already
+                    // closed looks exactly like this: dead before a single
+                    // response byte. Retrying on a fresh connection is safe
+                    // then — and only then (a replay after bytes arrived
+                    // could double-ingest a record).
+                    if f.pooled && !f.retried && f.resp_len == 0 {
+                        match connect_upstream(f.slot.0.addr, poller) {
+                            Ok(stream) => {
+                                f.upstream = stream;
+                                f.req_sent = 0;
+                                f.pooled = false;
+                                f.retried = true;
+                                // The fresh connect makes this a cold
+                                // exchange; keep it out of the warmed-path
+                                // allocation meter.
+                                f.metered = false;
+                                self.shared.stats.retries.fetch_add(1, Ordering::Relaxed);
+                                crate::obs::counter("route.retries", 1);
+                                continue;
+                            }
+                            Err(_) => {
+                                let f = conn.exchange.take().expect("present");
+                                let msg = "upstream unavailable";
+                                fail_exchange(conn, &self.shared, &mut self.scratch, f, msg);
+                                break;
+                            }
+                        }
+                    }
+                    let msg = if f.resp_len == 0 {
+                        "upstream unavailable"
+                    } else {
+                        "upstream sent a malformed response"
+                    };
+                    let f = conn.exchange.take().expect("present");
+                    fail_exchange(conn, &self.shared, &mut self.scratch, f, msg);
+                    break;
+                }
+            }
+        }
+        let progressed = match conn.exchange.as_ref() {
+            Some(f) => (f.req_sent, f.resp_len, f.relayed) != before,
+            None => true,
+        };
         if progressed {
-            idle_spins = 0;
-        } else {
-            idle_spins += 1;
-            if idle_spins <= 16 {
-                std::thread::yield_now();
-            } else {
-                let us = (100u64 << (idle_spins - 16).min(5)).min(2_000);
-                std::thread::sleep(Duration::from_micros(us));
+            conn.last_active = now;
+        }
+        Poll::Progress(progressed)
+    }
+
+    /// Read client bytes and handle buffered requests: answer router-local
+    /// routes inline, dispatch keyed routes upstream (at most one in flight
+    /// per client connection — HTTP/1.1 responses are ordered anyway).
+    fn read_and_dispatch(&mut self, conn: &mut ClientConn, poller: &Poller, now: Instant) -> Poll {
+        let cap = self.cfg.max_body_bytes + MAX_HEAD_BYTES + (64 << 10);
+        let mut progressed = match fill_in(conn, &mut self.scratch.tmp, cap, now) {
+            Poll::Closed => return Poll::Closed,
+            Poll::Progress(p) => p,
+        };
+
+        let allocs_before = self.probe.map(|p| p()).unwrap_or(0);
+        let mut consumed = 0usize;
+        let mut dispatch: Option<wire::Head> = None;
+        loop {
+            let buf = &conn.inbuf[consumed..];
+            if buf.is_empty() {
+                break;
             }
-        }
-    }
-}
-
-fn admit(stream: TcpStream, pool: &mut Vec<(Vec<u8>, Vec<u8>)>) -> Conn {
-    let (mut inbuf, mut outbuf) = pool.pop().unwrap_or_default();
-    inbuf.clear();
-    outbuf.clear();
-    Conn {
-        stream,
-        inbuf,
-        outbuf,
-        out_pos: 0,
-        last_active: Instant::now(),
-        close_after_flush: false,
-        inflight: None,
-    }
-}
-
-/// Release an in-flight exchange without completing it (client closed or
-/// timed out): free the backend slot, drop the upstream connection.
-fn abort_inflight(f: Inflight) {
-    f.backend.in_flight.fetch_sub(1, Ordering::AcqRel);
-}
-
-enum Poll {
-    Keep(bool),
-    Close,
-}
-
-enum Flush {
-    Progress(bool),
-    Closed,
-}
-
-fn flush_out(conn: &mut Conn, now: Instant) -> Flush {
-    let mut progressed = false;
-    while conn.out_pos < conn.outbuf.len() {
-        match conn.stream.write(&conn.outbuf[conn.out_pos..]) {
-            Ok(0) => return Flush::Closed,
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.last_active = now;
-                progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Flush::Closed,
-        }
-    }
-    if conn.out_pos == conn.outbuf.len() && conn.out_pos > 0 {
-        conn.outbuf.clear();
-        conn.out_pos = 0;
-    }
-    Flush::Progress(progressed)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn poll_conn(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    ring: &Ring,
-    backends: &[Arc<BackendNode>],
-    pools: &mut Pools,
-    scratch: &mut Scratch,
-    now: Instant,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-) -> Poll {
-    let mut progressed = false;
-    match flush_out(conn, now) {
-        Flush::Closed => return Poll::Close,
-        Flush::Progress(p) => progressed |= p,
-    }
-
-    // Service the in-flight exchange first; local responses staged
-    // before it must be fully on the wire before its bytes relay.
-    if conn.inflight.is_some() && conn.out_pos == conn.outbuf.len() {
-        match service_inflight(conn, shared, pools, scratch, now, cfg, probe) {
-            Service::Closed => return Poll::Close,
-            Service::Progress(p) => progressed |= p,
-        }
-    }
-
-    if conn.inflight.is_none() && !conn.close_after_flush {
-        match read_and_dispatch(conn, shared, ring, backends, pools, scratch, now, cfg, probe) {
-            Service::Closed => return Poll::Close,
-            Service::Progress(p) => progressed |= p,
-        }
-        // A freshly dispatched exchange gets driven in the same poll so
-        // the request reaches the backend without waiting a loop turn.
-        if conn.inflight.is_some() && conn.out_pos == conn.outbuf.len() {
-            match service_inflight(conn, shared, pools, scratch, now, cfg, probe) {
-                Service::Closed => return Poll::Close,
-                Service::Progress(p) => progressed |= p,
-            }
-        }
-    }
-
-    match flush_out(conn, now) {
-        Flush::Closed => return Poll::Close,
-        Flush::Progress(p) => progressed |= p,
-    }
-    if conn.close_after_flush && conn.inflight.is_none() && conn.out_pos == conn.outbuf.len() {
-        return Poll::Close;
-    }
-    if now.duration_since(conn.last_active) > cfg.read_timeout && conn.inflight.is_none() {
-        return Poll::Close;
-    }
-    Poll::Keep(progressed)
-}
-
-enum Service {
-    Progress(bool),
-    Closed,
-}
-
-/// Drive the in-flight exchange: forward request bytes, accumulate the
-/// response, relay it, then finalize (pooling, key tracking, counters).
-/// Handles the stale-pool retry and upstream timeout.
-fn service_inflight(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    pools: &mut Pools,
-    scratch: &mut Scratch,
-    now: Instant,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-) -> Service {
-    let f = conn.inflight.as_mut().expect("caller checked inflight");
-    let before = (f.req_sent, f.resp_len, f.relayed);
-    loop {
-        let metered = f.metered;
-        let allocs_before = if metered { probe.map(|p| p()).unwrap_or(0) } else { 0 };
-        let outcome = drive(&mut conn.stream, &conn.inbuf, f, now);
-        if metered {
-            if let Some(p) = probe {
-                f.allocs += p() - allocs_before;
-            }
-        }
-        match outcome {
-            Drive::Pending => {
-                if now.duration_since(f.started) > cfg.upstream_timeout {
-                    let f = conn.inflight.take().expect("present");
-                    fail_exchange(conn, shared, scratch, f, "upstream timed out");
+            match wire::parse_head(buf, MAX_HEAD_BYTES) {
+                HeadParse::Partial => break,
+                HeadParse::Hangup => return Poll::Closed,
+                HeadParse::Bad(status, msg) => {
+                    stage_local_error(&mut self.scratch, &mut conn.outbuf, status, msg, false);
+                    conn.close_after_flush = true;
+                    consumed = conn.inbuf.len();
+                    progressed = true;
+                    break;
                 }
-                break;
-            }
-            Drive::Done => {
-                let f = conn.inflight.take().expect("present");
-                finish_exchange(conn, shared, pools, f);
-                break;
-            }
-            Drive::ClientGone => return Service::Closed,
-            Drive::UpstreamGone => {
-                // A pooled connection the backend's idle timeout already
-                // closed looks exactly like this: dead before a single
-                // response byte. Retrying on a fresh connection is safe
-                // then — and only then (a replay after bytes arrived
-                // could double-ingest a record).
-                if f.pooled && !f.retried && f.resp_len == 0 {
-                    match connect_upstream(f.backend.addr) {
-                        Ok(stream) => {
-                            f.upstream = stream;
-                            f.req_sent = 0;
-                            f.pooled = false;
-                            f.retried = true;
-                            // The fresh connect makes this a cold
-                            // exchange; keep it out of the warmed-path
-                            // allocation meter.
-                            f.metered = false;
-                            shared.stats.retries.fetch_add(1, Ordering::Relaxed);
-                            crate::obs::counter("route.retries", 1);
-                            continue;
-                        }
-                        Err(_) => {
-                            let f = conn.inflight.take().expect("present");
-                            fail_exchange(conn, shared, scratch, f, "upstream unavailable");
-                            break;
-                        }
+                HeadParse::Complete(head) => {
+                    if head.content_length > self.cfg.max_body_bytes {
+                        let scratch = &mut self.scratch;
+                        stage_local_error(scratch, &mut conn.outbuf, 413, "body too large", false);
+                        conn.close_after_flush = true;
+                        consumed = conn.inbuf.len();
+                        progressed = true;
+                        break;
+                    }
+                    let total = head.head_len + head.content_length;
+                    if buf.len() < total {
+                        break;
+                    }
+                    if plan_proxy(buf, &head, &self.ring).is_some() {
+                        // The request must sit at inbuf[0] while in flight
+                        // (spans stay stable, the frame forwards verbatim):
+                        // stop parsing, drain what came before, dispatch.
+                        dispatch = Some(head);
+                        break;
+                    }
+                    handle_local(&self.shared, &mut self.scratch, &mut conn.outbuf, buf, &head);
+                    progressed = true;
+                    conn.last_active = now;
+                    consumed += total;
+                    if !head.keep_alive {
+                        conn.close_after_flush = true;
+                        break;
                     }
                 }
-                let msg = if f.resp_len == 0 {
-                    "upstream unavailable"
-                } else {
-                    "upstream sent a malformed response"
-                };
-                let f = conn.inflight.take().expect("present");
-                fail_exchange(conn, shared, scratch, f, msg);
-                break;
             }
         }
+        if consumed > 0 {
+            conn.inbuf.drain(..consumed);
+        }
+        if let Some(head) = dispatch {
+            progressed = true;
+            conn.last_active = now;
+            self.dispatch_proxy(conn, head, poller, now);
+            if let Some(f) = conn.exchange.as_mut() {
+                if f.metered {
+                    if let Some(p) = self.probe {
+                        f.allocs += p() - allocs_before;
+                    }
+                }
+            }
+        }
+        Poll::Progress(progressed)
     }
-    let progressed = match conn.inflight.as_ref() {
-        Some(f) => (f.req_sent, f.resp_len, f.relayed) != before,
-        None => true,
-    };
-    if progressed {
-        conn.last_active = now;
+
+    /// Stage a keyed request onto its owning backend (or shed/fail locally).
+    fn dispatch_proxy(
+        &mut self,
+        conn: &mut ClientConn,
+        head: wire::Head,
+        poller: &Poller,
+        now: Instant,
+    ) {
+        let (shared, scratch) = (&self.shared, &mut self.scratch);
+        let total = head.head_len + head.content_length;
+        let Some((hash, owner)) = plan_proxy(&conn.inbuf, &head, &self.ring) else {
+            // Raced a ring change down to zero backends; nothing owns keys.
+            stage_local_error(scratch, &mut conn.outbuf, 502, "no backends", head.keep_alive);
+            shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
+            conn.inbuf.drain(..total);
+            if !head.keep_alive {
+                conn.close_after_flush = true;
+            }
+            return;
+        };
+        let backend = &self.backends[owner as usize];
+        if backend.in_flight.load(Ordering::Acquire) >= self.cfg.max_inflight {
+            // Saturated: shed with the same bytes the accept tier uses.
+            scratch.body.clear();
+            wire::write_error_body(&mut scratch.body, "backend saturated");
+            wire::write_head_retry(
+                &mut conn.outbuf,
+                503,
+                "application/json",
+                scratch.body.len(),
+                head.keep_alive,
+                1,
+            );
+            conn.outbuf.extend_from_slice(scratch.body.as_bytes());
+            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+            crate::obs::counter("route.shed", 1);
+            conn.inbuf.drain(..total);
+            if !head.keep_alive {
+                conn.close_after_flush = true;
+            }
+            return;
+        }
+        backend.in_flight.fetch_add(1, Ordering::AcqRel);
+        let slot = Slot(Arc::clone(backend));
+        let (upstream, pooled) = match self.pools.bucket(backend.addr).pop() {
+            Some(u) => (u, true),
+            None => match connect_upstream(backend.addr, poller) {
+                Ok(stream) => (Upstream { stream, buf: vec![0u8; UPSTREAM_BUF] }, false),
+                Err(_) => {
+                    shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
+                    crate::obs::counter("route.upstream_errors", 1);
+                    stage_local_error(
+                        scratch,
+                        &mut conn.outbuf,
+                        502,
+                        "upstream unavailable",
+                        head.keep_alive,
+                    );
+                    conn.inbuf.drain(..total);
+                    if !head.keep_alive {
+                        conn.close_after_flush = true;
+                    }
+                    return;
+                }
+            },
+        };
+        let method = &conn.inbuf[head.method.0..head.method.1];
+        let path = &conn.inbuf[head.path.0..head.path.1];
+        let track = match method {
+            b"PUT" if path.starts_with(b"/v1/profile/") => Track::Insert,
+            b"DELETE" if path.starts_with(b"/v1/profile/") => Track::Remove,
+            _ => Track::None,
+        };
+        // Only pooled exchanges are metered: a pool miss pays a cold
+        // connect + buffer setup, which is lazy warmup, not the warmed
+        // path whose allocation count the meter pins.
+        let metered =
+            pooled && self.probe.is_some() && method == b"POST" && path.starts_with(b"/v1/ingest/");
+        conn.exchange = Some(Inflight {
+            slot,
+            upstream: upstream.stream,
+            buf: upstream.buf,
+            resp_len: 0,
+            req_total: total,
+            req_sent: 0,
+            head: None,
+            relayed: 0,
+            started: now,
+            pooled,
+            retried: false,
+            metered,
+            allocs: 0,
+            hash,
+            path: head.path,
+            track,
+            client_keep_alive: head.keep_alive,
+        });
     }
-    Service::Progress(progressed)
 }
 
 enum Drive {
@@ -1097,9 +1128,8 @@ fn response_status(buf: &[u8], span: (usize, usize)) -> Option<u16> {
 /// A completed exchange: free the backend slot, pool the upstream if it
 /// stayed clean and keep-alive, apply key tracking, bump counters, drop
 /// the request frame from the client buffer.
-fn finish_exchange(conn: &mut Conn, shared: &RouterShared, pools: &mut Pools, f: Inflight) {
+fn finish_exchange(conn: &mut ClientConn, shared: &RouterShared, pools: &mut Pools, f: Inflight) {
     let head = f.head.expect("done implies framed");
-    f.backend.in_flight.fetch_sub(1, Ordering::AcqRel);
     shared.stats.proxied.fetch_add(1, Ordering::Relaxed);
     crate::obs::counter("route.proxied", 1);
     if f.metered {
@@ -1127,7 +1157,7 @@ fn finish_exchange(conn: &mut Conn, shared: &RouterShared, pools: &mut Pools, f:
         }
     }
     if head.keep_alive && f.resp_len == head.total {
-        let bucket = pools.bucket(f.backend.addr);
+        let bucket = pools.bucket(f.slot.0.addr);
         if bucket.len() < POOL_PER_BACKEND {
             bucket.push(Upstream { stream: f.upstream, buf: f.buf });
         }
@@ -1141,13 +1171,12 @@ fn finish_exchange(conn: &mut Conn, shared: &RouterShared, pools: &mut Pools, f:
 /// A failed exchange: free the backend slot, drop the upstream, answer
 /// the client with a typed `502`, drop the request frame.
 fn fail_exchange(
-    conn: &mut Conn,
+    conn: &mut ClientConn,
     shared: &RouterShared,
     scratch: &mut Scratch,
     f: Inflight,
     msg: &str,
 ) {
-    f.backend.in_flight.fetch_sub(1, Ordering::AcqRel);
     shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
     crate::obs::counter("route.upstream_errors", 1);
     if f.relayed > 0 {
@@ -1174,115 +1203,14 @@ fn fail_exchange(
     }
 }
 
-fn connect_upstream(addr: SocketAddr) -> std::io::Result<TcpStream> {
+/// Open an upstream connection and register it with the worker's poller,
+/// so the reply wakes the worker.
+fn connect_upstream(addr: SocketAddr, poller: &Poller) -> std::io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     stream.set_nonblocking(true)?;
+    poller.register(&stream)?;
     Ok(stream)
-}
-
-/// Read client bytes and handle buffered requests: answer router-local
-/// routes inline, dispatch keyed routes upstream (at most one in flight
-/// per client connection — HTTP/1.1 responses are ordered anyway).
-#[allow(clippy::too_many_arguments)]
-fn read_and_dispatch(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    ring: &Ring,
-    backends: &[Arc<BackendNode>],
-    pools: &mut Pools,
-    scratch: &mut Scratch,
-    now: Instant,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-) -> Service {
-    let mut progressed = false;
-    let cap = cfg.max_body_bytes + MAX_HEAD_BYTES + (64 << 10);
-    let mut eof = false;
-    while conn.inbuf.len() < cap {
-        match conn.stream.read(&mut scratch.tmp) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => {
-                conn.inbuf.extend_from_slice(&scratch.tmp[..n]);
-                conn.last_active = now;
-                progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Service::Closed,
-        }
-    }
-
-    let allocs_before = probe.map(|p| p()).unwrap_or(0);
-    let mut consumed = 0usize;
-    let mut dispatch: Option<wire::Head> = None;
-    loop {
-        let buf = &conn.inbuf[consumed..];
-        if buf.is_empty() {
-            break;
-        }
-        match wire::parse_head(buf, MAX_HEAD_BYTES) {
-            HeadParse::Partial => break,
-            HeadParse::Hangup => return Service::Closed,
-            HeadParse::Bad(status, msg) => {
-                stage_local_error(scratch, &mut conn.outbuf, status, msg, false);
-                conn.close_after_flush = true;
-                consumed = conn.inbuf.len();
-                progressed = true;
-                break;
-            }
-            HeadParse::Complete(head) => {
-                if head.content_length > cfg.max_body_bytes {
-                    stage_local_error(scratch, &mut conn.outbuf, 413, "body too large", false);
-                    conn.close_after_flush = true;
-                    consumed = conn.inbuf.len();
-                    progressed = true;
-                    break;
-                }
-                let total = head.head_len + head.content_length;
-                if buf.len() < total {
-                    break;
-                }
-                if plan_proxy(buf, &head, ring).is_some() {
-                    // The request must sit at inbuf[0] while in flight
-                    // (spans stay stable, the frame forwards verbatim):
-                    // stop parsing, drain what came before, dispatch.
-                    dispatch = Some(head);
-                    break;
-                }
-                handle_local(shared, scratch, &mut conn.outbuf, buf, &head);
-                progressed = true;
-                conn.last_active = now;
-                consumed += total;
-                if !head.keep_alive {
-                    conn.close_after_flush = true;
-                    break;
-                }
-            }
-        }
-    }
-    if consumed > 0 {
-        conn.inbuf.drain(..consumed);
-    }
-    if let Some(head) = dispatch {
-        progressed = true;
-        conn.last_active = now;
-        dispatch_proxy(conn, shared, ring, backends, pools, scratch, head, cfg, probe, now);
-        if let Some(f) = conn.inflight.as_mut() {
-            if f.metered {
-                if let Some(p) = probe {
-                    f.allocs += p() - allocs_before;
-                }
-            }
-        }
-    }
-    if eof {
-        conn.close_after_flush = true;
-    }
-    Service::Progress(progressed)
 }
 
 /// The owning backend for a keyed path, or `None` when the request is
@@ -1303,110 +1231,6 @@ fn plan_proxy(buf: &[u8], head: &wire::Head, ring: &Ring) -> Option<(u64, u16)> 
     }
     let hash = key_hash(app, entity);
     Some((hash, ring.owner_of(hash)?))
-}
-
-/// Stage a keyed request onto its owning backend (or shed/fail locally).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_proxy(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    ring: &Ring,
-    backends: &[Arc<BackendNode>],
-    pools: &mut Pools,
-    scratch: &mut Scratch,
-    head: wire::Head,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-    now: Instant,
-) {
-    let total = head.head_len + head.content_length;
-    let Some((hash, owner)) = plan_proxy(&conn.inbuf, &head, ring) else {
-        // Raced a ring change down to zero backends; nothing owns keys.
-        stage_local_error(scratch, &mut conn.outbuf, 502, "no backends", head.keep_alive);
-        shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-        conn.inbuf.drain(..total);
-        if !head.keep_alive {
-            conn.close_after_flush = true;
-        }
-        return;
-    };
-    let backend = &backends[owner as usize];
-    if backend.in_flight.load(Ordering::Acquire) >= cfg.max_inflight {
-        // Saturated: shed with the same bytes the accept tier uses.
-        scratch.body.clear();
-        wire::write_error_body(&mut scratch.body, "backend saturated");
-        wire::write_head_retry(
-            &mut conn.outbuf,
-            503,
-            "application/json",
-            scratch.body.len(),
-            head.keep_alive,
-            1,
-        );
-        conn.outbuf.extend_from_slice(scratch.body.as_bytes());
-        shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        crate::obs::counter("route.shed", 1);
-        conn.inbuf.drain(..total);
-        if !head.keep_alive {
-            conn.close_after_flush = true;
-        }
-        return;
-    }
-    backend.in_flight.fetch_add(1, Ordering::AcqRel);
-    let (upstream, pooled) = match pools.bucket(backend.addr).pop() {
-        Some(u) => (u, true),
-        None => match connect_upstream(backend.addr) {
-            Ok(stream) => (Upstream { stream, buf: vec![0u8; UPSTREAM_BUF] }, false),
-            Err(_) => {
-                backend.in_flight.fetch_sub(1, Ordering::AcqRel);
-                shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-                crate::obs::counter("route.upstream_errors", 1);
-                stage_local_error(
-                    scratch,
-                    &mut conn.outbuf,
-                    502,
-                    "upstream unavailable",
-                    head.keep_alive,
-                );
-                conn.inbuf.drain(..total);
-                if !head.keep_alive {
-                    conn.close_after_flush = true;
-                }
-                return;
-            }
-        },
-    };
-    let method = &conn.inbuf[head.method.0..head.method.1];
-    let path = &conn.inbuf[head.path.0..head.path.1];
-    let track = match method {
-        b"PUT" if path.starts_with(b"/v1/profile/") => Track::Insert,
-        b"DELETE" if path.starts_with(b"/v1/profile/") => Track::Remove,
-        _ => Track::None,
-    };
-    // Only pooled exchanges are metered: a pool miss pays a cold
-    // connect + buffer setup, which is lazy warmup, not the warmed
-    // path whose allocation count the meter pins.
-    let metered =
-        pooled && probe.is_some() && method == b"POST" && path.starts_with(b"/v1/ingest/");
-    conn.inflight = Some(Inflight {
-        backend: Arc::clone(backend),
-        upstream: upstream.stream,
-        buf: upstream.buf,
-        resp_len: 0,
-        req_total: total,
-        req_sent: 0,
-        head: None,
-        relayed: 0,
-        started: now,
-        pooled,
-        retried: false,
-        metered,
-        allocs: 0,
-        hash,
-        path: head.path,
-        track,
-        client_keep_alive: head.keep_alive,
-    });
 }
 
 /// Router-local routes: healthz, router stats, and 404s for anything
@@ -1806,6 +1630,53 @@ mod tests {
         assert!(rt.stats().retries >= 1, "at least one stale retry expected");
         rt.shutdown();
         gk.shutdown();
+    }
+
+    #[test]
+    fn upstream_reply_wakes_the_router() {
+        // A fake backend that answers every request 5 ms late. The reply
+        // must wake the router worker through its upstream registration;
+        // a worker that only noticed it at its wait timeout would add
+        // ~50 ms to every exchange.
+        let backend = TcpListener::bind("127.0.0.1:0").unwrap();
+        let backend_addr = backend.local_addr().unwrap();
+        // One keep-alive client makes the router reuse one pooled upstream
+        // connection, served until the router closes it.
+        let fake = std::thread::spawn(move || {
+            let (mut conn, _) = backend.accept().unwrap();
+            let reply = b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                          content-length: 11\r\nconnection: keep-alive\r\n\r\n{\"ok\":true}";
+            let mut buf = Vec::new();
+            let mut chunk = [0u8; 4096];
+            loop {
+                // Requests carry no body: one head per exchange.
+                while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
+                    match conn.read(&mut chunk) {
+                        Ok(0) | Err(_) => return,
+                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    }
+                }
+                buf.clear();
+                std::thread::sleep(Duration::from_millis(5));
+                conn.write_all(reply).unwrap();
+            }
+        });
+        let rt = Router::bind("127.0.0.1:0", &[("slow", backend_addr)], RouterConfig::default())
+            .unwrap();
+        let mut stream = TcpStream::connect(rt.local_addr()).unwrap();
+        let mut took: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                let (status, body) = call_on(&mut stream, "GET", "/v1/checkpoint/a/e", b"");
+                assert_eq!((status, body.as_slice()), (200, &b"{\"ok\":true}"[..]));
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[10] < Duration::from_millis(25), "median proxied latency {:?}", took[10]);
+        drop(stream);
+        rt.shutdown();
+        fake.join().unwrap();
     }
 
     #[test]

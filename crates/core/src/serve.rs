@@ -34,7 +34,12 @@
 //! acceptor round-robins accepted sockets over bounded per-worker
 //! queues) and multiplexes them in a nonblocking event loop, so one
 //! slow connection cannot head-of-line-block another behind a busy
-//! worker. Per connection, requests are parsed in place from a reused
+//! worker. The loop is the reactor shared with the router tier
+//! (`core::net`): a worker sweeps its connections until nothing moves,
+//! then blocks in an `epoll` readiness wait at once (the gatekeeper's
+//! idle policy; a staged reply leaves nothing in flight to spin for),
+//! woken by socket readiness or by the acceptor handing it a
+//! connection. Per connection, requests are parsed in place from a reused
 //! input buffer ([`crate::wire::parse_head`] returns byte ranges, not
 //! `String`s), ingest bodies are number-parsed directly into reused row
 //! buffers ([`crate::wire::parse_record_body`], falling back to the
@@ -56,19 +61,17 @@
 //! (`ingest`) takes one shard lock, one hash lookup, one detector tick.
 
 use crate::checkpoint::ServingProfile;
+use crate::net::{fill_in, flush_out, Conn, Handler, Poll, Poller, Server};
 use crate::registry::{key_hash, EntityKey, ProfileRegistry, RegistryStats};
 use crate::spill::SpillDir;
 use crate::wire::{self, BodyParse, HeadParse};
 use exathlon_linalg::codec::ByteWriter;
 use parking_lot::Mutex;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Largest accepted request head (request line + headers).
@@ -85,7 +88,7 @@ pub struct GatekeeperConfig {
     pub budget_bytes_per_shard: usize,
     /// Largest accepted request body; larger requests get 413.
     pub max_body_bytes: usize,
-    /// Idle-connection timeout (also bounds shutdown latency).
+    /// Idle-connection timeout.
     pub read_timeout: Duration,
     /// Accepted-but-unserved connections queued per worker. When every
     /// worker's queue is full the acceptor answers `503` with
@@ -243,17 +246,8 @@ impl Shared {
 /// A running gatekeeper. Dropping it (or calling
 /// [`Gatekeeper::shutdown`]) stops the acceptor and joins every worker.
 pub struct Gatekeeper {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-#[derive(Clone, Copy)]
-struct WorkerCfg {
-    read_timeout: Duration,
-    max_conns: usize,
+    server: Server,
 }
 
 impl Gatekeeper {
@@ -261,7 +255,6 @@ impl Gatekeeper {
     /// it back with [`Gatekeeper::local_addr`].
     pub fn bind(addr: impl ToSocketAddrs, config: GatekeeperConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let shards = config.shards.max(1);
         let spill = match &config.spill_dir {
             Some(dir) => Some(SpillDir::create(dir)?),
@@ -275,47 +268,36 @@ impl Gatekeeper {
             spill,
             gate: GateCounters::default(),
         });
-        let stop = Arc::new(AtomicBool::new(false));
         let probe = alloc_probe();
-        let wcfg = WorkerCfg {
-            read_timeout: config.read_timeout,
-            max_conns: config.max_conns_per_worker.max(1),
-        };
-
-        let mut txs = Vec::new();
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.accept_queue.max(1));
-                txs.push(tx);
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name(format!("gk-worker-{i}"))
-                    .spawn(move || worker_loop(rx, &shared, &stop, wcfg, probe))
-                    .expect("spawn gatekeeper worker")
+        let handlers = (0..config.workers.max(1))
+            .map(|_| GateWorker {
+                shared: Arc::clone(&shared),
+                scratch: Scratch::new(),
+                read_timeout: config.read_timeout,
+                probe,
             })
             .collect();
-
-        let acceptor = {
-            let stop = Arc::clone(&stop);
+        let on_shed = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gk-acceptor".into())
-                .spawn(move || {
-                    accept_striped(listener, txs, &stop, &|| {
-                        shared.gate.rejected.fetch_add(1, Ordering::Relaxed);
-                        crate::obs::counter("serve.rejected", 1);
-                    })
-                })
-                .expect("spawn gatekeeper acceptor")
+            move || {
+                shared.gate.rejected.fetch_add(1, Ordering::Relaxed);
+                crate::obs::counter("serve.rejected", 1);
+            }
         };
-
-        Ok(Self { addr: local, shared, stop, acceptor: Some(acceptor), workers })
+        let server = Server::spawn(
+            listener,
+            "gk",
+            handlers,
+            config.accept_queue,
+            config.max_conns_per_worker,
+            on_shed,
+        )?;
+        Ok(Self { shared, server })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Registry counters summed across shards.
@@ -330,103 +312,12 @@ impl Gatekeeper {
     }
 
     /// Stop accepting, close striped connections, join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
+    pub fn shutdown(self) {
+        drop(self);
     }
-
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Wake the acceptor out of its blocking accept.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Gatekeeper {
-    fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.stop_threads();
-        }
-    }
-}
-
-// --------------------------------------------------------- accept striping
-
-/// The striped accept loop shared by the gatekeeper and the router tier
-/// ([`crate::route`]): round-robin accepted sockets over bounded
-/// per-worker queues, and shed load with `503` + `Retry-After` when
-/// every queue is full. `on_shed` is called once per shed connection
-/// (counters differ per tier; the shed bytes do not).
-pub(crate) fn accept_striped(
-    listener: TcpListener,
-    txs: Vec<SyncSender<TcpStream>>,
-    stop: &AtomicBool,
-    on_shed: &(dyn Fn() + Sync),
-) {
-    // The saturation response is fixed; build it once.
-    let body = br#"{"error":"server overloaded"}"#;
-    let mut reject = Vec::new();
-    wire::write_head_retry(&mut reject, 503, "application/json", body.len(), false, 1);
-    reject.extend_from_slice(body);
-
-    let mut next = 0usize;
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Relaxed) {
-            break; // the shutdown self-connect lands here
-        }
-        let Ok(stream) = conn else { continue };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_nonblocking(true);
-        // Round-robin striping over the per-worker queues: the first
-        // worker with queue room owns this connection for its lifetime.
-        let mut stream = Some(stream);
-        for i in 0..txs.len() {
-            let w = (next + i) % txs.len();
-            match txs[w].try_send(stream.take().expect("stream present until sent")) {
-                Ok(()) => {
-                    next = (w + 1) % txs.len();
-                    break;
-                }
-                Err(TrySendError::Full(s)) | Err(TrySendError::Disconnected(s)) => {
-                    stream = Some(s);
-                }
-            }
-        }
-        if let Some(s) = stream {
-            // Every queue is full: shed load now, tell the client when
-            // to come back, and never block the accept loop on it.
-            on_shed();
-            let _ = s.set_nonblocking(false);
-            let _ = s.set_write_timeout(Some(Duration::from_secs(1)));
-            let mut s = s;
-            let _ = s.write_all(&reject);
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-    // `txs` drop here; idle workers see Disconnected and exit.
 }
 
 // ------------------------------------------------------------ worker loop
-
-/// One multiplexed connection: reused buffers plus framing state.
-struct Conn {
-    stream: TcpStream,
-    /// Unparsed request bytes (complete requests are consumed in place).
-    inbuf: Vec<u8>,
-    /// Serialized responses not yet accepted by the socket.
-    outbuf: Vec<u8>,
-    /// Prefix of `outbuf` already written.
-    out_pos: usize,
-    last_active: Instant,
-    /// Flush what is pending, then close (explicit `connection: close`,
-    /// protocol errors, EOF).
-    close_after_flush: bool,
-}
 
 /// Per-worker reusable workspaces; nothing here is allocated per request
 /// once warmed.
@@ -458,233 +349,111 @@ impl Scratch {
     }
 }
 
-fn worker_loop(
-    rx: Receiver<TcpStream>,
-    shared: &Shared,
-    stop: &AtomicBool,
-    cfg: WorkerCfg,
+/// One gatekeeper worker: request bytes in, staged response bytes out.
+struct GateWorker {
+    shared: Arc<Shared>,
+    scratch: Scratch,
+    read_timeout: Duration,
     probe: Option<fn() -> u64>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut pool: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut scratch = Scratch::new();
-    let mut idle_spins = 0u32;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        // Admit queued connections up to this worker's multiplex cap.
-        while conns.len() < cfg.max_conns {
-            match rx.try_recv() {
-                Ok(s) => conns.push(admit(s, &mut pool)),
-                Err(_) => break,
-            }
-        }
-        if conns.is_empty() {
-            // Nothing to poll: block on the queue instead of spinning.
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(s) => conns.push(admit(s, &mut pool)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        let now = Instant::now();
+}
+
+impl Handler for GateWorker {
+    type Exchange = ();
+
+    // A staged response leaves nothing in flight: block as soon as a sweep
+    // makes no progress.
+    const IDLE_YIELDS: u32 = 0;
+
+    fn poll_conn(&mut self, conn: &mut Conn<()>, _poller: &Poller, now: Instant) -> Poll {
+        let (shared, scratch) = (&*self.shared, &mut self.scratch);
         let mut progressed = false;
-        let mut i = 0;
-        while i < conns.len() {
-            match poll_conn(&mut conns[i], shared, &mut scratch, now, cfg, probe) {
-                Poll::Keep(p) => {
-                    progressed |= p;
-                    i += 1;
-                }
-                Poll::Close => {
-                    let c = conns.swap_remove(i);
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    pool.push((c.inbuf, c.outbuf));
-                    progressed = true;
-                }
-            }
+        match flush_out(conn, now) {
+            Poll::Closed => return Poll::Closed,
+            Poll::Progress(p) => progressed |= p,
         }
-        // Single-core friendly backoff: yield first, then sleep with an
-        // escalating cap so an idle worker never busy-spins a shared CPU
-        // while waking fast once traffic resumes.
-        if progressed {
-            idle_spins = 0;
+        if conn.close_after_flush {
+            if conn.out_pos == conn.outbuf.len() {
+                return Poll::Closed;
+            }
+            // Still draining; the idle timeout below bounds a stuck peer.
         } else {
-            idle_spins += 1;
-            if idle_spins <= 16 {
-                std::thread::yield_now();
-            } else {
-                let us = (100u64 << (idle_spins - 16).min(5)).min(2_000);
-                std::thread::sleep(Duration::from_micros(us));
+            let cap = shared.max_body_bytes + MAX_HEAD_BYTES + (64 << 10);
+            match fill_in(conn, &mut scratch.tmp, cap, now) {
+                Poll::Closed => return Poll::Closed,
+                Poll::Progress(p) => progressed |= p,
             }
-        }
-    }
-}
 
-fn admit(stream: TcpStream, pool: &mut Vec<(Vec<u8>, Vec<u8>)>) -> Conn {
-    let (mut inbuf, mut outbuf) = pool.pop().unwrap_or_default();
-    inbuf.clear();
-    outbuf.clear();
-    Conn {
-        stream,
-        inbuf,
-        outbuf,
-        out_pos: 0,
-        last_active: Instant::now(),
-        close_after_flush: false,
-    }
-}
-
-enum Poll {
-    /// Connection stays; the flag reports whether any bytes moved.
-    Keep(bool),
-    Close,
-}
-
-fn poll_conn(
-    conn: &mut Conn,
-    shared: &Shared,
-    scratch: &mut Scratch,
-    now: Instant,
-    cfg: WorkerCfg,
-    probe: Option<fn() -> u64>,
-) -> Poll {
-    let mut progressed = false;
-    match flush_out(conn, now) {
-        Flush::Closed => return Poll::Close,
-        Flush::Progress(p) => progressed |= p,
-    }
-    if conn.close_after_flush {
-        if conn.out_pos == conn.outbuf.len() {
-            return Poll::Close;
-        }
-        // Still draining; the idle timeout below bounds a stuck peer.
-    } else {
-        // Read until the socket would block (bounded so a pipelining
-        // peer cannot grow the buffer past one max-size request).
-        let cap = shared.max_body_bytes + MAX_HEAD_BYTES + (64 << 10);
-        let mut eof = false;
-        while conn.inbuf.len() < cap {
-            match conn.stream.read(&mut scratch.tmp) {
-                Ok(0) => {
-                    eof = true;
+            // Handle every complete request buffered so far.
+            let mut consumed = 0usize;
+            loop {
+                let buf = &conn.inbuf[consumed..];
+                if buf.is_empty() {
                     break;
                 }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&scratch.tmp[..n]);
-                    conn.last_active = now;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Poll::Close,
-            }
-        }
-
-        // Handle every complete request buffered so far.
-        let mut consumed = 0usize;
-        loop {
-            let buf = &conn.inbuf[consumed..];
-            if buf.is_empty() {
-                break;
-            }
-            match wire::parse_head(buf, MAX_HEAD_BYTES) {
-                HeadParse::Partial => break,
-                HeadParse::Hangup => return Poll::Close,
-                HeadParse::Bad(status, msg) => {
-                    stage_error_response(scratch, &mut conn.outbuf, status, msg);
-                    conn.close_after_flush = true;
-                    consumed = conn.inbuf.len();
-                    progressed = true;
-                    break;
-                }
-                HeadParse::Complete(head) => {
-                    if head.content_length > shared.max_body_bytes {
-                        stage_error_response(scratch, &mut conn.outbuf, 413, "body too large");
+                match wire::parse_head(buf, MAX_HEAD_BYTES) {
+                    HeadParse::Partial => break,
+                    HeadParse::Hangup => return Poll::Closed,
+                    HeadParse::Bad(status, msg) => {
+                        stage_error_response(scratch, &mut conn.outbuf, status, msg);
                         conn.close_after_flush = true;
                         consumed = conn.inbuf.len();
                         progressed = true;
                         break;
                     }
-                    let total = head.head_len + head.content_length;
-                    if buf.len() < total {
-                        break; // body not fully buffered yet
-                    }
-                    // Head lines were UTF-8-validated by the parser.
-                    let method =
-                        std::str::from_utf8(&buf[head.method.0..head.method.1]).unwrap_or_default();
-                    let path =
-                        std::str::from_utf8(&buf[head.path.0..head.path.1]).unwrap_or_default();
-                    let body = &buf[head.head_len..total];
-                    handle(
-                        shared,
-                        scratch,
-                        method,
-                        path,
-                        body,
-                        head.keep_alive,
-                        &mut conn.outbuf,
-                        probe,
-                    );
-                    progressed = true;
-                    conn.last_active = now;
-                    consumed += total;
-                    if !head.keep_alive {
-                        conn.close_after_flush = true;
-                        break;
+                    HeadParse::Complete(head) => {
+                        if head.content_length > shared.max_body_bytes {
+                            stage_error_response(scratch, &mut conn.outbuf, 413, "body too large");
+                            conn.close_after_flush = true;
+                            consumed = conn.inbuf.len();
+                            progressed = true;
+                            break;
+                        }
+                        let total = head.head_len + head.content_length;
+                        if buf.len() < total {
+                            break; // body not fully buffered yet
+                        }
+                        // Head lines were UTF-8-validated by the parser.
+                        let method = std::str::from_utf8(&buf[head.method.0..head.method.1])
+                            .unwrap_or_default();
+                        let path =
+                            std::str::from_utf8(&buf[head.path.0..head.path.1]).unwrap_or_default();
+                        let body = &buf[head.head_len..total];
+                        handle(
+                            shared,
+                            scratch,
+                            method,
+                            path,
+                            body,
+                            head.keep_alive,
+                            &mut conn.outbuf,
+                            self.probe,
+                        );
+                        progressed = true;
+                        conn.last_active = now;
+                        consumed += total;
+                        if !head.keep_alive {
+                            conn.close_after_flush = true;
+                            break;
+                        }
                     }
                 }
             }
-        }
-        if consumed > 0 {
-            conn.inbuf.drain(..consumed);
-        }
-        if eof {
-            // Peer is done sending; flush whatever is staged, then close
-            // (an incomplete buffered request is dropped silently, like
-            // the old reader's Hangup).
-            conn.close_after_flush = true;
-        }
-        match flush_out(conn, now) {
-            Flush::Closed => return Poll::Close,
-            Flush::Progress(p) => progressed |= p,
-        }
-        if conn.close_after_flush && conn.out_pos == conn.outbuf.len() {
-            return Poll::Close;
-        }
-    }
-    if now.duration_since(conn.last_active) > cfg.read_timeout {
-        return Poll::Close;
-    }
-    Poll::Keep(progressed)
-}
-
-enum Flush {
-    Progress(bool),
-    Closed,
-}
-
-fn flush_out(conn: &mut Conn, now: Instant) -> Flush {
-    let mut progressed = false;
-    while conn.out_pos < conn.outbuf.len() {
-        match conn.stream.write(&conn.outbuf[conn.out_pos..]) {
-            Ok(0) => return Flush::Closed,
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.last_active = now;
-                progressed = true;
+            if consumed > 0 {
+                conn.inbuf.drain(..consumed);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Flush::Closed,
+            match flush_out(conn, now) {
+                Poll::Closed => return Poll::Closed,
+                Poll::Progress(p) => progressed |= p,
+            }
+            if conn.close_after_flush && conn.out_pos == conn.outbuf.len() {
+                return Poll::Closed;
+            }
         }
+        if now.duration_since(conn.last_active) > self.read_timeout {
+            return Poll::Closed;
+        }
+        Poll::Progress(progressed)
     }
-    if conn.out_pos == conn.outbuf.len() && conn.out_pos > 0 {
-        conn.outbuf.clear();
-        conn.out_pos = 0;
-    }
-    Flush::Progress(progressed)
 }
 
 // --------------------------------------------------------------- routing
@@ -921,6 +690,10 @@ fn ingest(
         }
     }
 
+    // Every row's width is checked here, outside the shard lock; under it
+    // one comparison against the profile's input width rejects a bad
+    // batch before any record touches tenant state.
+    let width = uniform_width(&scratch.row_ends);
     scratch.scores.clear();
     let verdict: Result<(), (u16, &'static str)> = {
         let mut reg = shared.shard_at(hash).lock();
@@ -929,27 +702,19 @@ fn ingest(
         }
         match reg.get_mut_hashed(hash, app, entity) {
             None => Err((404, "unknown profile")),
+            Some(profile)
+                if !scratch.row_ends.is_empty()
+                    && profile.input_dim().is_some_and(|d| width != Some(d)) =>
+            {
+                Err((400, "record rejected by detector"))
+            }
             Some(profile) => {
-                let mut verdict = Ok(());
                 let mut start = 0usize;
                 for &end in &scratch.row_ends {
-                    let record = &scratch.rows[start..end];
-                    // A record of the wrong width panics deep in the
-                    // detector; surface that as a client error instead
-                    // of losing a worker.
-                    let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        profile.ingest(record)
-                    }));
-                    match scored {
-                        Ok(pair) => scratch.scores.push(pair),
-                        Err(_) => {
-                            verdict = Err((400, "record rejected by detector"));
-                            break;
-                        }
-                    }
+                    scratch.scores.push(profile.ingest(&scratch.rows[start..end]));
                     start = end;
                 }
-                verdict
+                Ok(())
             }
         }
     };
@@ -970,6 +735,21 @@ fn ingest(
     }
 }
 
+/// The width every parsed row shares, or `None` for an empty or ragged
+/// batch.
+fn uniform_width(row_ends: &[usize]) -> Option<usize> {
+    let first = *row_ends.first()?;
+    let mut start = 0;
+    row_ends
+        .iter()
+        .all(|&end| {
+            let width = end - start;
+            start = end;
+            width == first
+        })
+        .then_some(first)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -977,7 +757,8 @@ mod tests {
     use exathlon_ad::stream::StreamingEwma;
     use serde_json::Value;
     use std::io::BufRead as _;
-    use std::io::BufReader;
+    use std::io::{BufReader, Read, Write};
+    use std::net::TcpStream;
 
     /// Minimal test client: one request per call over a fresh connection.
     fn call(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
@@ -1271,6 +1052,77 @@ mod tests {
         );
         // The listener is gone: nothing accepts on the old address.
         assert!(TcpStream::connect(addr).is_err(), "listener must be closed after shutdown");
+    }
+
+    #[test]
+    fn idle_tiers_shut_down_promptly() {
+        // An idle worker sleeps in its readiness wait; shutdown must wake
+        // it at once rather than at the wait's timeout.
+        let gk = Gatekeeper::bind("127.0.0.1:0", GatekeeperConfig::default()).unwrap();
+        let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let rt = crate::route::Router::bind(
+            "127.0.0.1:0",
+            &[("n0", dead)],
+            crate::route::RouterConfig::default(),
+        )
+        .unwrap();
+        // Let every worker settle into its wait.
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        gk.shutdown();
+        let gk_took = t0.elapsed();
+        let t0 = Instant::now();
+        rt.shutdown();
+        let rt_took = t0.elapsed();
+        assert!(gk_took < Duration::from_millis(25), "idle gatekeeper took {gk_took:?}");
+        assert!(rt_took < Duration::from_millis(25), "idle router took {rt_took:?}");
+    }
+
+    #[test]
+    fn new_connections_wake_idle_workers() {
+        // Each fresh connection lands on the next worker in the stripe,
+        // usually one asleep in its readiness wait: the acceptor must wake
+        // it rather than leave the socket to the wait's 50 ms timeout.
+        let gk = Gatekeeper::bind("127.0.0.1:0", GatekeeperConfig::default()).unwrap();
+        let addr = gk.local_addr();
+        let mut took: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert_eq!(call(addr, "GET", "/v1/healthz", b"").0, 200);
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(
+            took[10] < Duration::from_millis(25),
+            "median fresh-connection call {:?}",
+            took[10]
+        );
+        gk.shutdown();
+    }
+
+    #[test]
+    fn wrong_width_record_rejects_the_whole_batch() {
+        let gk = Gatekeeper::bind("127.0.0.1:0", GatekeeperConfig::default()).unwrap();
+        let addr = gk.local_addr();
+        let mut twin = profile();
+        call(addr, "PUT", "/v1/profile/a/e", &twin.to_bytes());
+        twin.ingest(&[0.5, 1.5]);
+        call(addr, "POST", "/v1/ingest/a/e", b"{\"record\":[0.5,1.5]}");
+
+        // Record 1 of 3 has the wrong width: nothing may be applied, not
+        // even record 0.
+        let (status, body) =
+            call(addr, "POST", "/v1/score/a/e", b"{\"records\":[[1,2],[3],[4,5]]}");
+        assert_eq!(status, 400);
+        assert_eq!(body, b"{\"error\":\"record rejected by detector\"}");
+        let (status, body) = call(addr, "POST", "/v1/ingest/a/e", b"{\"record\":[1,2,3]}");
+        assert_eq!(status, 400);
+        assert_eq!(body, b"{\"error\":\"record rejected by detector\"}");
+        let (status, image) = call(addr, "GET", "/v1/checkpoint/a/e", b"");
+        assert_eq!(status, 200);
+        assert_eq!(image, twin.to_bytes(), "a rejected batch must leave the tenant untouched");
+        gk.shutdown();
     }
 
     #[test]
