@@ -69,7 +69,7 @@ impl AutoencoderDetector {
     }
 
     /// Window score (reconstruction MSE) for each flattened window.
-    fn window_scores(&self, windows: &Matrix) -> Vec<f64> {
+    pub(crate) fn window_scores(&self, windows: &Matrix) -> Vec<f64> {
         let model = self.model.as_ref().expect("detector not fitted");
         let recon = model.predict(windows);
         row_squared_errors(&recon, windows)
@@ -79,11 +79,20 @@ impl AutoencoderDetector {
     /// `window * dims` values). This is the score function handed to
     /// model-dependent explainers such as LIME.
     ///
+    /// Runs the network's one-row inference ([`Mlp::predict_row_with`]),
+    /// bitwise equal to the window's row of the batch pass, then the
+    /// error expression of [`row_squared_errors`]: a warmed call (the
+    /// streaming adapter's tick, each LIME query) allocates nothing.
+    ///
     /// # Panics
     /// Panics if the detector is unfitted or the window length mismatches.
     pub fn window_score(&self, flat_window: &[f64]) -> f64 {
-        let m = Matrix::from_vec(1, flat_window.len(), flat_window.to_vec());
-        self.window_scores(&m)[0]
+        let model = self.model.as_ref().expect("detector not fitted");
+        model.predict_row_with(flat_window, |recon| {
+            assert_eq!(recon.len(), flat_window.len(), "row error shape mismatch");
+            let m = recon.len().max(1) as f64;
+            recon.iter().zip(flat_window).map(|(p, t)| (p - t) * (p - t)).sum::<f64>() / m
+        })
     }
 
     /// The configured window length.

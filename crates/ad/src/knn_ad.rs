@@ -45,8 +45,11 @@ impl KnnDetector {
         Self { config, kernel: DistanceKernel::fit::<Vec<f64>>(&[]) }
     }
 
-    /// Mean-of-`k`-nearest score for one row of squared distances.
-    fn score_row(k: usize, mut dists: Vec<f64>) -> f64 {
+    /// Mean-of-`k`-nearest score for one row of squared distances,
+    /// selected in place — the one rule the batch chunks and the
+    /// per-record path share. The selection runs over the full row so
+    /// the `k`-sum adds the same values in the same order on both.
+    fn score_row(k: usize, dists: &mut [f64]) -> f64 {
         // total_cmp: squared distances of finite features can still
         // overflow to ∞; ordering must never panic.
         dists.select_nth_unstable_by(k - 1, f64::total_cmp);
@@ -65,20 +68,19 @@ impl KnnDetector {
 
     /// Score one record against the frozen reference set — the streaming
     /// engine's per-tick path. Bitwise equal to the record's batch score:
-    /// the kernel pins each query row's distances independent of the
-    /// query-batch shape, and the k-selection afterwards is shared.
+    /// the kernel's one-query form reproduces the query's GEMM row
+    /// exactly, and the k-selection afterwards is shared. A warmed call
+    /// allocates nothing.
     ///
     /// # Panics
     /// Panics if the detector is unfitted.
     pub fn score_record(&self, record: &[f64]) -> f64 {
         assert!(!self.kernel.is_empty(), "detector not fitted");
         let k = self.config.k.min(self.kernel.len());
-        let dists = if kernel::naive_distance_mode() {
-            self.kernel.naive_sq_distances_to(record)
-        } else {
-            self.kernel.sq_distances(&[record]).row(0).to_vec()
-        };
-        Self::score_row(k, dists)
+        if kernel::naive_distance_mode() {
+            return Self::score_row(k, &mut self.kernel.naive_sq_distances_to(record));
+        }
+        self.kernel.with_sq_distances_to(record, |dists| Self::score_row(k, dists))
     }
 
     /// Serialize the fitted detector (config + reference kernel) into `w`.
@@ -148,11 +150,11 @@ impl AnomalyScorer for KnnDetector {
             if kernel::naive_distance_mode() {
                 chunk
                     .iter()
-                    .map(|r| Self::score_row(k, self.kernel.naive_sq_distances_to(r)))
+                    .map(|r| Self::score_row(k, &mut self.kernel.naive_sq_distances_to(r)))
                     .collect()
             } else {
-                let dists = self.kernel.sq_distances(chunk);
-                (0..dists.rows()).map(|i| Self::score_row(k, dists.row(i).to_vec())).collect()
+                let mut dists = self.kernel.sq_distances(chunk);
+                (0..dists.rows()).map(|i| Self::score_row(k, dists.row_mut(i))).collect()
             }
         });
         scored.into_iter().flatten().collect()

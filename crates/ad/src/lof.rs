@@ -55,22 +55,34 @@ impl LofDetector {
         }
     }
 
-    /// k nearest reference indices (ascending by distance) from a
-    /// precomputed row of Euclidean distances to every reference,
-    /// excluding `exclude` (for self-neighbourhoods during fitting).
-    fn knn_from_dists(&self, dists: &[f64], exclude: Option<usize>) -> Vec<(usize, f64)> {
-        let mut pairs: Vec<(usize, f64)> = dists
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| Some(*i) != exclude)
-            .map(|(i, &d)| (i, d))
-            .collect();
+    /// The `k` nearest references of one query, ascending, into `knn`:
+    /// `dists` holds the query's Euclidean distance to every reference,
+    /// and `exclude` drops one index (the self-neighbourhoods of fitting).
+    ///
+    /// Neighbours are the `k` smallest keys (distance, index) — exactly
+    /// what a stable sort by distance truncated to `k` keeps, since the
+    /// stable sort breaks ties by ascending index — found by a selection
+    /// over all candidates and a sort of the `k` winners only. The key
+    /// must be the √ distance, not the squared one: distinct squared
+    /// distances can round to the same √, and the tie then falls to the
+    /// index.
+    fn knn_from_dists(&self, dists: &[f64], exclude: Option<usize>, knn: &mut Vec<(usize, f64)>) {
         // total_cmp: squared distances of finite features can still
-        // overflow to ∞; ordering must never panic. The sort is stable,
-        // so ties keep ascending reference order, as before.
-        pairs.sort_by(|a, b| a.1.total_cmp(&b.1));
-        pairs.truncate(self.config.k);
-        pairs
+        // overflow to ∞; ordering must never panic.
+        let key = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+        knn.clear();
+        knn.extend(
+            dists.iter().enumerate().filter(|(i, _)| Some(*i) != exclude).map(|(i, &d)| (i, d)),
+        );
+        let k = self.config.k.min(knn.len());
+        if k == 0 {
+            return;
+        }
+        if k < knn.len() {
+            knn.select_nth_unstable_by(k - 1, key);
+            knn.truncate(k);
+        }
+        knn.sort_unstable_by(key);
     }
 
     /// Euclidean distances from every reference to every reference, as
@@ -122,6 +134,17 @@ impl LofDetector {
         (neighbour_lrd / own_lrd).max(0.0)
     }
 
+    /// LOF score of one query from its row of squared distances — the
+    /// one rule the batch chunks and the per-record path share. The √ is
+    /// taken in place before the neighbour selection.
+    fn score_row(&self, row: &mut [f64], knn: &mut Vec<(usize, f64)>) -> f64 {
+        for v in row.iter_mut() {
+            *v = v.sqrt();
+        }
+        self.knn_from_dists(row, None, knn);
+        self.lof_score(knn)
+    }
+
     /// The record width the fitted reference set takes (0 until fitted).
     pub fn dims(&self) -> usize {
         if self.kernel.is_empty() {
@@ -140,15 +163,22 @@ impl LofDetector {
     /// Panics if the detector is unfitted.
     pub fn score_record(&self, record: &[f64]) -> f64 {
         assert!(!self.kernel.is_empty(), "detector not fitted");
-        let mut row = if kernel::naive_distance_mode() {
-            self.kernel.naive_sq_distances_to(record)
-        } else {
-            self.kernel.sq_distances(&[record]).row(0).to_vec()
-        };
-        for v in &mut row {
-            *v = v.sqrt();
+        // Per-thread neighbour scratch, beside the kernel's own query
+        // scratch: a warmed call allocates nothing.
+        thread_local! {
+            static KNN: std::cell::RefCell<Vec<(usize, f64)>> =
+                const { std::cell::RefCell::new(Vec::new()) };
         }
-        self.lof_score(&self.knn_from_dists(&row, None))
+        let score = |row: &mut [f64]| {
+            let mut knn = KNN.take();
+            let score = self.score_row(row, &mut knn);
+            KNN.set(knn);
+            score
+        };
+        if kernel::naive_distance_mode() {
+            return score(&mut self.kernel.naive_sq_distances_to(record));
+        }
+        self.kernel.with_sq_distances_to(record, score)
     }
 
     /// Serialize the fitted detector: config, reference kernel, and the
@@ -231,8 +261,9 @@ impl AnomalyScorer for LofDetector {
         let n = self.kernel.len();
         let mut k_distance = Vec::with_capacity(n);
         let mut neighbours = Vec::with_capacity(n);
+        let mut knn = Vec::with_capacity(n);
         for i in 0..n {
-            let knn = self.knn_from_dists(dists.row(i), Some(i));
+            self.knn_from_dists(dists.row(i), Some(i), &mut knn);
             k_distance.push(knn.last().map(|&(_, d)| d).unwrap_or(0.0));
             neighbours.push(knn.iter().map(|&(j, _)| j).collect());
         }
@@ -258,25 +289,15 @@ impl AnomalyScorer for LofDetector {
         let records: Vec<&[f64]> = ts.records().collect();
         let chunks: Vec<&[&[f64]]> = records.chunks(kernel::DIST_CHUNK).collect();
         let scored: Vec<Vec<f64>> = exathlon_linalg::par::par_map(&chunks, |chunk| {
+            let mut knn = Vec::new();
             if kernel::naive_distance_mode() {
                 chunk
                     .iter()
-                    .map(|r| {
-                        let mut row = self.kernel.naive_sq_distances_to(r);
-                        for v in &mut row {
-                            *v = v.sqrt();
-                        }
-                        self.lof_score(&self.knn_from_dists(&row, None))
-                    })
+                    .map(|r| self.score_row(&mut self.kernel.naive_sq_distances_to(r), &mut knn))
                     .collect()
             } else {
-                let sq = self.kernel.sq_distances(chunk);
-                (0..sq.rows())
-                    .map(|i| {
-                        let row: Vec<f64> = sq.row(i).iter().map(|v| v.sqrt()).collect();
-                        self.lof_score(&self.knn_from_dists(&row, None))
-                    })
-                    .collect()
+                let mut sq = self.kernel.sq_distances(chunk);
+                (0..sq.rows()).map(|i| self.score_row(sq.row_mut(i), &mut knn)).collect()
             }
         });
         scored.into_iter().flatten().collect()
@@ -357,6 +378,47 @@ mod tests {
             &[vec![f64::INFINITY, 0.0], vec![f64::NEG_INFINITY, 0.0], vec![f64::NAN, 1.0]],
         ));
         assert!(scores.iter().all(|s| s.is_finite()), "{scores:?}");
+    }
+
+    /// The neighbour rule before the selection: collect every candidate,
+    /// stable-sort by distance, keep `k`.
+    fn stable_sort_oracle(dists: &[f64], exclude: Option<usize>, k: usize) -> Vec<(usize, f64)> {
+        let mut pairs: Vec<(usize, f64)> = dists
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| Some(*i) != exclude)
+            .map(|(i, &d)| (i, d))
+            .collect();
+        pairs.sort_by(|a, b| a.1.total_cmp(&b.1));
+        pairs.truncate(k);
+        pairs
+    }
+
+    /// Selection by (distance, index) keeps exactly the stable sort's
+    /// neighbours, in its order: on rows dense with ties (few distinct
+    /// values, so every `k` boundary cuts through a run of equals), with
+    /// signed zeros and ∞, for every `k` up to past the row length.
+    #[test]
+    fn selection_matches_stable_sort_on_tied_rows() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let palette = [0.0, -0.0, 0.5, 1.0, 1.0 + f64::EPSILON, 2.0, f64::INFINITY];
+        let mut knn = Vec::new();
+        for case in 0..300 {
+            let n = 1 + case % 40;
+            let dists: Vec<f64> =
+                (0..n).map(|_| palette[rng.gen_range(0..palette.len())]).collect();
+            let exclude = (case % 3 == 0).then(|| case % n);
+            for k in 1..=n + 2 {
+                let det = LofDetector::new(LofConfig { k, max_references: 1000 });
+                det.knn_from_dists(&dists, exclude, &mut knn);
+                let want = stable_sort_oracle(&dists, exclude, k);
+                assert_eq!(knn.len(), want.len(), "case {case} k {k}");
+                for (got, want) in knn.iter().zip(&want) {
+                    assert_eq!(got.0, want.0, "case {case} k {k}: {dists:?}");
+                    assert_eq!(got.1.to_bits(), want.1.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

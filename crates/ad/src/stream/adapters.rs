@@ -5,16 +5,16 @@
 //! into [`StreamingDetector`] ticks:
 //!
 //! * [`StreamingKnn`] / [`StreamingLof`] — each record is one query
-//!   against the frozen reference set through the shared distance kernel;
-//!   per-record scores are bitwise equal to the batch chunks because the
-//!   kernel pins each query row independent of batch shape,
+//!   against the frozen reference set through the distance kernel's
+//!   one-query form; per-record scores are bitwise equal to the batch
+//!   chunks because that form reproduces the query's GEMM row exactly,
 //! * [`StreamingAe`] — records accumulate in a [`RingWindow`]; once it
 //!   fills, every tick re-linearizes the window into the batch layout and
-//!   scores it, so tick `t` carries the reconstruction MSE of the window
-//!   *ending* at `t`. (The batch scorer then averages each record over all
-//!   enclosing windows — an average a stream cannot form until the future
-//!   arrives, which is exactly the windowing difference the equivalence
-//!   test pins.)
+//!   scores it through the network's one-row inference, so tick `t`
+//!   carries the reconstruction MSE of the window *ending* at `t`. (The
+//!   batch scorer then averages each record over all enclosing windows —
+//!   an average a stream cannot form until the future arrives, which is
+//!   exactly the windowing difference the equivalence test pins.)
 
 use super::StreamingDetector;
 use crate::ae_ad::AutoencoderDetector;
@@ -244,16 +244,21 @@ mod tests {
     #[test]
     fn ae_stream_scores_the_window_ending_at_each_tick() {
         let train = trace(240, 5);
+        // Widths off every GEMM tile width (window * dims = 18, hidden 13).
         let cfg =
-            AeConfig { window: 6, hidden: vec![16], code: 4, epochs: 15, ..Default::default() };
+            AeConfig { window: 6, hidden: vec![13], code: 3, epochs: 15, ..Default::default() };
         let w = cfg.window;
         let mut det = AutoencoderDetector::new(cfg);
         det.fit(&[&train]);
         let test = trace(60, 6);
-        // Reference: the batch per-window scores, laid out by window start.
+        // Reference: the batch GEMM's per-window scores, laid out by
+        // window start; the stream's one-row inference must match them
+        // bit for bit, as must the public one-window score.
         let windows = WindowSet::from_series(&test, w, 1);
-        let expected: Vec<f64> =
-            (0..windows.len()).map(|i| det.window_score(windows.window(i))).collect();
+        let expected = det.window_scores(&crate::scorer::window_batch(&windows));
+        for (i, e) in expected.iter().enumerate() {
+            assert_eq!(det.window_score(windows.window(i)).to_bits(), e.to_bits(), "window {i}");
+        }
         assert_eq!(windows.starts(), window_starts(test.len(), w, 1));
         let streamed = replay(&mut StreamingAe::new(det, test.dims()), &test);
         assert_eq!(streamed.len(), test.len());

@@ -3,6 +3,10 @@
 //! and ±∞ features are zeroed once at fit/query time, identically in the
 //! batched Gram-trick path and the retained scalar (naive-mode) path.
 //!
+//! The per-record path runs the kernel's one-query form instead of the
+//! batch GEMM; the property block at the end pins it bitwise to the
+//! batch scores on the same dirty inputs.
+//!
 //! `EXATHLON_NAIVE_KERNELS` is process-global, so every toggle happens
 //! under one lock and is restored before the test returns.
 
@@ -12,6 +16,7 @@ use exathlon_ad::AnomalyScorer;
 use exathlon_linalg::kernel::NAIVE_KERNELS_ENV;
 use exathlon_tsdata::series::default_names;
 use exathlon_tsdata::TimeSeries;
+use proptest::prelude::*;
 use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -153,4 +158,81 @@ fn messy_training_data_scores_clean_queries_consistently() {
 
     assert_close(&knn_batched, &knn_naive, "kNN (messy fit)");
     assert_close(&lof_batched, &lof_naive, "LOF (messy fit)");
+}
+
+/// A feature value: finite, or NaN / ±∞ with probability 1/12 each.
+fn dirty_value() -> impl Strategy<Value = f64> {
+    (0..12u8, -8.0..8.0f64).prop_map(|(tag, v)| match tag {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => v,
+    })
+}
+
+/// Dirty reference records, each base record repeated `copies` times:
+/// equal references give equal distances, so with `copies` above 1 the
+/// `k` boundary cuts through runs of ties for queries near them.
+fn dirty_refs(dims: usize) -> impl Strategy<Value = TimeSeries> {
+    (proptest::collection::vec(proptest::collection::vec(dirty_value(), dims), 2..24), 1usize..4)
+        .prop_map(move |(base, copies)| {
+            let records: Vec<Vec<f64>> =
+                base.iter().flat_map(|r| std::iter::repeat_n(r.clone(), copies)).collect();
+            TimeSeries::from_records(default_names(dims), 0, &records)
+        })
+}
+
+/// Queries: dirty random records plus copies of the first references
+/// (distance exactly zero to a run of tied duplicates).
+fn queries_for(refs: &TimeSeries, random: Vec<Vec<f64>>) -> TimeSeries {
+    let mut records = random;
+    records.extend((0..refs.len().min(3)).map(|i| refs.record(i).to_vec()));
+    TimeSeries::from_records(refs.names().to_vec(), 0, &records)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// kNN's per-record score is bitwise its batch score: NaN/±∞
+    /// features, tied duplicate references, and `k` up to past the
+    /// reference count.
+    #[test]
+    fn knn_score_record_matches_batch_bitwise(
+        refs in dirty_refs(3),
+        random in proptest::collection::vec(proptest::collection::vec(dirty_value(), 3), 1..12),
+        k in 1usize..80,
+    ) {
+        let _guard = lock_batched_mode();
+        let mut det = KnnDetector::new(KnnConfig { k, max_references: 1000 });
+        det.fit(&[&refs]);
+        let queries = queries_for(&refs, random);
+        let batch = det.score_series(&queries);
+        for (i, q) in queries.records().enumerate() {
+            let one = det.score_record(q);
+            prop_assert_eq!(one.to_bits(), batch[i].to_bits(), "query {}: {} vs {}", i, one, batch[i]);
+        }
+    }
+
+    /// LOF's per-record score is bitwise its batch score on the same
+    /// inputs. Its fit needs more than `k` training records, but a
+    /// reference cap below `k` still leaves `k` at or past the stored
+    /// reference count.
+    #[test]
+    fn lof_score_record_matches_batch_bitwise(
+        refs in dirty_refs(3),
+        random in proptest::collection::vec(proptest::collection::vec(dirty_value(), 3), 1..12),
+        k in 1usize..80,
+        cap in 2usize..80,
+    ) {
+        let _guard = lock_batched_mode();
+        let k = k.min(refs.len() - 1);
+        let mut det = LofDetector::new(LofConfig { k, max_references: cap });
+        det.fit(&[&refs]);
+        let queries = queries_for(&refs, random);
+        let batch = det.score_series(&queries);
+        for (i, q) in queries.records().enumerate() {
+            let one = det.score_record(q);
+            prop_assert_eq!(one.to_bits(), batch[i].to_bits(), "query {}: {} vs {}", i, one, batch[i]);
+        }
+    }
 }

@@ -20,9 +20,10 @@
 //!    hands the gatekeeper a per-thread allocation probe
 //!    ([`exathlon_core::serve::set_alloc_probe`]); after warmup, a
 //!    metered run pins the worker-side allocation count of the ingest
-//!    fast path (zero for in-place detectors, a small pinned budget for
-//!    kNN, whose scoring kernel allocates). The run **fails** beyond the
-//!    budget — this is the CI allocation guard.
+//!    fast path at zero: for bare EWMA and kNN tenants, and for
+//!    pipeline-shaped tenants (PCA + dynamic scaler in front of kNN,
+//!    LOF, AE and SpectralResidual). The run **fails** on any
+//!    allocation — this is the CI allocation guard.
 //! 3. **batch** — the same records through `POST /v1/score` in
 //!    `BATCH`-record bodies; records/sec is compared against phase 1.
 //! 4. **spill** — a second gatekeeper with a ~zero byte budget and a
@@ -51,8 +52,11 @@ use exathlon_core::replay::{build_servable, replay_series, stream_seed};
 use exathlon_core::route::{Router, RouterConfig};
 use exathlon_core::serve::{set_alloc_probe, Gatekeeper, GatekeeperConfig};
 use exathlon_core::wire::{parse_head, HeadParse};
+use exathlon_linalg::pca::{ComponentSelection, Pca};
 use exathlon_linalg::stats::quantile;
+use exathlon_linalg::Matrix;
 use exathlon_sparksim::dataset::DatasetBuilder;
+use exathlon_tsdata::scale::{DynamicScaler, StandardScaler};
 use exathlon_tsdata::TimeSeries;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -393,6 +397,58 @@ fn wait_stat(get: &dyn Fn() -> u64, want: u64) -> u64 {
     }
 }
 
+/// PCA components of the pipeline-shaped alloc-guard tenants.
+const PIPELINE_COMPONENTS: usize = 8;
+
+/// Pipeline-shaped profiles, the paper's serving shape: a PCA over the
+/// transformed features, then a dynamic scaler, then the detector —
+/// fitted, like the served pipeline, on the projected and
+/// standard-scaled training traces.
+fn pipeline_profiles(
+    methods: &[StreamMethod],
+    train: &[TimeSeries],
+    config: &ExperimentConfig,
+    budget: TrainingBudget,
+) -> Vec<(StreamMethod, ServingProfile)> {
+    let clean = |r: &[f64]| -> Vec<f64> {
+        r.iter().map(|&v| if v.is_finite() { v } else { 0.0 }).collect()
+    };
+    let rows: Vec<Vec<f64>> = train.iter().flat_map(|t| t.records().map(clean)).collect();
+    let pca = Pca::fit(&Matrix::from_rows(&rows), ComponentSelection::Fixed(PIPELINE_COMPONENTS));
+    let names: Vec<String> = (0..pca.n_components()).map(|i| format!("pc{i}")).collect();
+    let projected: Vec<TimeSeries> = train
+        .iter()
+        .map(|t| {
+            let recs: Vec<Vec<f64>> = t.records().map(|r| pca.transform_row(r)).collect();
+            TimeSeries::from_records(names.clone(), 0, &recs)
+        })
+        .collect();
+    let refs: Vec<&TimeSeries> = projected.iter().collect();
+    let scaler = StandardScaler::fit_pooled(&refs);
+    let scaled: Vec<TimeSeries> = projected.iter().map(|t| scaler.transform(t)).collect();
+    methods
+        .iter()
+        .map(|&method| {
+            let det = build_servable(
+                method,
+                &scaled,
+                config.threshold_holdout,
+                budget,
+                stream_seed(config.seed, method),
+            );
+            // The guard meters allocations and compares scores; no
+            // record needs to be flagged.
+            let profile = ServingProfile {
+                scaler: Some(DynamicScaler::from_standard(scaler.clone(), 0.01)),
+                pca: Some(pca.clone()),
+                detector: det,
+                threshold: f64::INFINITY,
+            };
+            (method, profile)
+        })
+        .collect()
+}
+
 /// Concurrent bitwise replay: each client thread warms its tenant chunk
 /// (pools upstream connections, grows every reused buffer to steady
 /// state), all clients align on a barrier, `on_warmed` runs while the
@@ -567,10 +623,8 @@ fn main() {
 
     // ------------------------------------------------- phase 2: alloc guard
     // Meter the worker-side allocation count of the warmed ingest fast
-    // path. The in-place detectors (EWMA here) must be exactly
-    // allocation-free; kNN's scoring kernel allocates, so it gets a small
-    // pinned budget instead. Run one tenant at a time so the gatekeeper's
-    // cumulative counters isolate each method.
+    // path, which must be exactly allocation-free. Run one tenant at a
+    // time so the gatekeeper's cumulative counters isolate each method.
     let mut alloc_client = Client::connect(addr, nodelay);
     let mut body = String::new();
     let mut metered = |tenant: &mut Tenant, warm: usize, measured: usize| -> f64 {
@@ -595,8 +649,38 @@ fn main() {
     let knn_tenant = &mut results[3 % clients].1[3 / clients];
     assert!(knn_tenant.entity.ends_with("kNN"), "expected kNN tenant: {}", knn_tenant.entity);
     let knn_allocs = metered(knn_tenant, warm, measured);
-    assert!(knn_allocs <= 16.0, "kNN ingest allocation budget exceeded: {knn_allocs} per request");
+    assert_eq!(knn_allocs, 0.0, "warmed kNN ingest must be allocation-free in the worker");
     println!("alloc guard: ewma {ewma_allocs}/req, knn {knn_allocs}/req");
+    // Pipeline-shaped tenants: PCA + dynamic scaler in front of each
+    // model detector. The stage outputs and the detectors' query scratch
+    // live per worker thread, so these must be allocation-free too.
+    let pipeline_methods =
+        [StreamMethod::Knn, StreamMethod::Lof, StreamMethod::Ae, StreamMethod::SpectralResidual];
+    let mut pipeline_allocs = Vec::new();
+    for (method, profile) in pipeline_profiles(&pipeline_methods, &train, &config, budget) {
+        let entity = format!("pipeline-{}", method.label());
+        let (status, _) =
+            upload.request("PUT", &format!("/v1/profile/spark-app/{entity}"), &profile.to_bytes());
+        assert_eq!(status, 200, "profile upload failed for {entity}");
+        let series = &tests[0].series;
+        let n = series.len().min(records_per_entity);
+        let mut tenant = Tenant {
+            entity,
+            method: method.label(),
+            twin: profile,
+            records: (0..n).map(|i| series.record(i).to_vec()).collect(),
+            single_ns: 0,
+            batch_ns: 0,
+        };
+        let allocs = metered(&mut tenant, warm, measured);
+        assert_eq!(
+            allocs, 0.0,
+            "warmed pipeline-shaped {} ingest must be allocation-free in the worker",
+            tenant.method
+        );
+        pipeline_allocs.push((tenant.method.to_lowercase(), allocs));
+    }
+    println!("alloc guard: pipeline-shaped (PCA + scaler) {pipeline_allocs:?} per request");
 
     // ---------------------------------------------------- phase 3: batching
     // The same tenants continue their streams through /v1/score in
@@ -741,7 +825,7 @@ fn main() {
     );
 
     let stats = gk.stats();
-    assert_eq!(stats.insertions as usize, entities);
+    assert_eq!(stats.insertions as usize, entities + pipeline_allocs.len());
     println!("single: elapsed {elapsed:.2}s, throughput {throughput:.0} req/s");
     println!("ingest latency: p50 {p50}ns, p90 {p90}ns, p99 {p99}ns, max {max}ns");
     println!(
@@ -1163,7 +1247,7 @@ fn main() {
          \"unloaded_ewma\": {{\"single_ns\": {solo_single_ns}, \"batch_ns\": {solo_batch_ns}, \
          \"speedup\": {solo_speedup:.2}}}}},\n  \
          \"alloc\": {{\"ewma_allocs_per_request\": {ewma_allocs}, \
-         \"knn_allocs_per_request\": {knn_allocs}}},\n  \
+         \"knn_allocs_per_request\": {knn_allocs}, {pipeline_json}}},\n  \
          \"spill\": {{\"entities\": {spill_entities}, \"requests\": {spill_requests}, \
          \"spills\": {spills}, \"restores\": {restores}, \"throughput_rps\": {spill_rps:.1}, \
          \"bitwise_ok\": true}},\n  \
@@ -1178,6 +1262,11 @@ fn main() {
          when saturated).\"\n}}\n",
         spills = g2.spills,
         restores = g2.restores,
+        pipeline_json = pipeline_allocs
+            .iter()
+            .map(|(m, a)| format!("\"pipeline_{m}_allocs_per_request\": {a}"))
+            .collect::<Vec<_>>()
+            .join(", "),
         per_method_json = per_method
             .iter()
             .map(|(label, s, b, x)| format!(

@@ -93,24 +93,39 @@ impl ServingProfile {
     /// Ingest one record: optional PCA projection, optional dynamic
     /// rescale (which also advances the scaler's running moments), one
     /// detector tick. Returns `(score, is_anomaly)`.
+    ///
+    /// The stage outputs land in thread-local scratch rather than in the
+    /// profile: a warmed ingest allocates nothing, and the buffers scale
+    /// with worker threads instead of with resident tenants. A bare
+    /// profile (no PCA, no scaler) never touches the scratch.
     pub fn ingest(&mut self, record: &[f64]) -> (f64, bool) {
-        let projected;
-        let record = match &self.pca {
-            Some(pca) => {
-                projected = pca.transform_row(record);
-                &projected[..]
-            }
-            None => record,
-        };
-        let scaled;
-        let record = match &mut self.scaler {
-            Some(scaler) => {
-                scaled = scaler.transform_and_update(record);
-                &scaled[..]
-            }
-            None => record,
-        };
+        if self.pca.is_none() && self.scaler.is_none() {
+            let score = self.detector.update(record);
+            return (score, score > self.threshold);
+        }
+        /// Per-thread stage buffers: PCA centering, projection, scaling.
+        #[derive(Default)]
+        struct Stages {
+            centered: Vec<f64>,
+            projected: Vec<f64>,
+            scaled: Vec<f64>,
+        }
+        thread_local! {
+            static STAGES: std::cell::RefCell<Stages> = std::cell::RefCell::default();
+        }
+        let mut s = STAGES.take();
+        let mut record = record;
+        if let Some(pca) = &self.pca {
+            pca.transform_row_into(record, &mut s.centered, &mut s.projected);
+            record = &s.projected;
+        }
+        if let Some(scaler) = &mut self.scaler {
+            s.scaled.clear();
+            scaler.transform_and_update_into(record, &mut s.scaled);
+            record = &s.scaled;
+        }
         let score = self.detector.update(record);
+        STAGES.set(s);
         (score, score > self.threshold)
     }
 

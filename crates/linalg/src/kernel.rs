@@ -1062,6 +1062,48 @@ impl DistanceKernel {
         self.gram_to_distances(&q, &qnorms)
     }
 
+    /// Squared distances from one query to every reference, handed to
+    /// `f` as a mutable row it may reorder in place (kNN/LOF select on
+    /// it). Bitwise equal to the query's row of
+    /// [`DistanceKernel::sq_distances`]: the Gram lane `j` is
+    /// [`transpose_matvec_into`] over the stored `refs_t`, a sum in
+    /// ascending `k` starting at `0.0` with the query operand on the left
+    /// — exactly the products and the order each GEMM output element
+    /// accumulates — followed by the same clamped `‖q‖² + ‖r‖² − 2g`
+    /// sweep. The sanitized query and the row live in thread-local
+    /// scratch (like the GEMM's packed panel), so a warmed call makes no
+    /// allocation and the scratch scales with worker threads, not with
+    /// fitted kernels.
+    ///
+    /// # Panics
+    /// Panics if the query dimensionality differs from the references'.
+    pub fn with_sq_distances_to<T>(&self, query: &[f64], f: impl FnOnce(&mut [f64]) -> T) -> T {
+        assert_eq!(
+            query.len(),
+            self.dims(),
+            "distance dimension mismatch: query dims {} vs reference dims {}",
+            query.len(),
+            self.dims()
+        );
+        thread_local! {
+            static ONE_QUERY: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
+                const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+        }
+        // Taken out for the call, so a nested call finds empty buffers
+        // instead of a held borrow.
+        let (mut q, mut row) = ONE_QUERY.take();
+        q.clear();
+        q.extend(query.iter().map(|&x| sanitize(x)));
+        let qn = dot(&q, &q);
+        transpose_matvec_into(&self.refs_t, &q, &mut row);
+        for (g, &rn) in row.iter_mut().zip(&self.norms) {
+            *g = (qn + rn - 2.0 * *g).max(0.0);
+        }
+        let out = f(&mut row);
+        ONE_QUERY.set((q, row));
+        out
+    }
+
     /// All-pairs squared distances of the reference set against itself
     /// (`len × len`), used by LOF fitting.
     pub fn self_sq_distances(&self) -> Matrix {
@@ -1290,6 +1332,32 @@ mod tests {
         for (i, q) in queries.iter().enumerate() {
             for (j, &s) in dk.naive_sq_distances_to(q).iter().enumerate() {
                 assert!((batched[(i, j)] - s).abs() <= 1e-9 * s.max(1.0));
+            }
+        }
+    }
+
+    #[test]
+    fn one_query_distances_match_batch_rows_bitwise() {
+        // 300 wide: the batch side sums over two `k`-panels.
+        for (n, d) in [(1, 1), (9, 5), (37, 16), (5, 300)] {
+            let refs: Vec<Vec<f64>> = (0..n)
+                .map(|i| (0..d).map(|j| ((i * d + j) as f64 * 0.37).sin() * 3.0).collect())
+                .collect();
+            let mut queries: Vec<Vec<f64>> = (0..11)
+                .map(|i| (0..d).map(|j| ((i + j) as f64 * 0.91).cos() * 2.0).collect())
+                .collect();
+            queries[3][0] = f64::NAN;
+            queries[5][d - 1] = f64::NEG_INFINITY;
+            let dk = DistanceKernel::fit(&refs);
+            let batched = dk.sq_distances(&queries);
+            for (i, q) in queries.iter().enumerate() {
+                let one = dk.with_sq_distances_to(q, |row| row.to_vec());
+                let want: Vec<u64> = batched.row(i).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(
+                    one.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    want,
+                    "{n}x{d} q{i}"
+                );
             }
         }
     }

@@ -98,13 +98,22 @@ impl Pca {
     /// NaN inputs are imputed with the training mean of the feature before
     /// centering (so they project to zero along that axis).
     pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.transform_row_into(row, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`Pca::transform_row`] into caller-reused buffers: `centered`
+    /// receives the imputed, centered row and `out` its projection.
+    /// Bitwise identical, and allocation-free once both have grown to
+    /// their steady-state lengths.
+    pub fn transform_row_into(&self, row: &[f64], centered: &mut Vec<f64>, out: &mut Vec<f64>) {
         assert_eq!(row.len(), self.input_dim(), "PCA transform dimension mismatch");
-        let centered: Vec<f64> = row
-            .iter()
-            .zip(&self.means)
-            .map(|(&x, &mu)| if x.is_nan() { 0.0 } else { x - mu })
-            .collect();
-        self.components.transpose_matvec(&centered)
+        centered.clear();
+        centered.extend(
+            row.iter().zip(&self.means).map(|(&x, &mu)| if x.is_nan() { 0.0 } else { x - mu }),
+        );
+        crate::kernel::transpose_matvec_into(&self.components, centered, out);
     }
 
     /// Project every row of `data` into component space: one centering

@@ -165,6 +165,23 @@ impl Dense {
         z
     }
 
+    /// Inference on one input row into `out` (resized to `out_dim`):
+    /// the single-query form of [`Dense::forward_inference`]. Output `j`
+    /// is `W[j]·x` summed in ascending `k` from `0.0` — the products and
+    /// order of the GEMM's output element `(0, j)` — then the same fused
+    /// [`elemwise::bias_act`] epilogue, so it is bitwise the matching row
+    /// of the batch pass without a row matrix, a clone of `x` or a
+    /// per-call weight transpose.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != in_dim`.
+    pub fn forward_row_into(&self, x: &[f64], out: &mut Vec<f64>) {
+        assert_eq!(x.len(), self.in_dim(), "dense input dimension mismatch");
+        kernel::matvec_into(&self.weight.value, x, out);
+        let cols = out.len();
+        elemwise::bias_act(out, 1, cols, self.bias.value.row(0), self.activation.kind());
+    }
+
     /// Backward pass: takes `dL/dy` for the cached batch, accumulates
     /// parameter gradients, and returns `dL/dx`. The allocation-free
     /// training loops use [`Dense::backward_into`] instead.

@@ -126,6 +126,34 @@ impl Mlp {
         h
     }
 
+    /// Inference on one input row, handing the output row to `f`: each
+    /// layer runs [`Dense::forward_row_into`], so the result is bitwise
+    /// the matching row of [`Mlp::predict`]. The activations ping-pong
+    /// between two thread-local buffers (the GEMM's packed-panel
+    /// precedent), so a warmed call allocates nothing and the scratch
+    /// scales with worker threads, not with networks.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != in_dim`.
+    pub fn predict_row_with<T>(&self, x: &[f64], f: impl FnOnce(&[f64]) -> T) -> T {
+        thread_local! {
+            static ROW: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
+                const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+        }
+        // Taken out for the call, so a nested call finds empty buffers
+        // instead of a held borrow.
+        let (mut a, mut b) = ROW.take();
+        let (first, rest) = self.layers.split_first().expect("non-empty");
+        first.forward_row_into(x, &mut a);
+        for layer in rest {
+            layer.forward_row_into(&a, &mut b);
+            std::mem::swap(&mut a, &mut b);
+        }
+        let out = f(&a);
+        ROW.set((a, b));
+        out
+    }
+
     /// Backward pass through all layers; returns `dL/dx`. The
     /// allocation-free loops use [`Mlp::backward_into`] instead.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {

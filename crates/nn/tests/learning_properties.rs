@@ -52,6 +52,48 @@ proptest! {
         let y = mlp.predict(&x);
         prop_assert_eq!(y.shape(), (n, out_dim));
     }
+
+    /// One-row inference is bitwise the matching row of the batch
+    /// prediction: layer widths off every tile width (4, 8, 16), batches
+    /// that fill whole SIMD tiles and ragged ones, and inputs wider than
+    /// the GEMM's `KC` = 256 panel, so the batch side sums over more than
+    /// one `k`-panel.
+    #[test]
+    fn predict_row_matches_batch_rows_bitwise(
+        seed in 0u64..1000,
+        n in 1usize..20,
+        wide in any::<bool>(),
+        in_narrow in 1usize..40,
+        hidden in proptest::collection::vec(1usize..40, 1..4),
+        act in 0usize..5,
+    ) {
+        let act = [
+            Activation::Relu,
+            Activation::LeakyRelu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Identity,
+        ][act];
+        let in_dim = if wide { exathlon_linalg::kernel::KC + 1 + in_narrow } else { in_narrow };
+        let mut specs = Vec::new();
+        let mut prev = in_dim;
+        for &h in &hidden {
+            specs.push((prev, h, act));
+            prev = h;
+        }
+        specs.push((prev, in_dim, Activation::Identity));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mlp = Mlp::new(&specs, &mut rng);
+        let x = Matrix::from_fn(n, in_dim, |i, j| ((i * in_dim + j) as f64 * 0.37 + seed as f64).sin() * 3.0);
+        let batch = mlp.predict(&x);
+        for i in 0..n {
+            let row = mlp.predict_row_with(x.row(i), <[f64]>::to_vec);
+            prop_assert_eq!(row.len(), in_dim);
+            for (j, (a, b)) in row.iter().zip(batch.row(i)).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "row {} col {}: {} vs {}", i, j, a, b);
+            }
+        }
+    }
 }
 
 /// Autoencoder bottleneck behaviour: reconstruction of rank-1 data through
