@@ -8,7 +8,7 @@
 use crate::scorer::AnomalyScorer;
 use exathlon_linalg::codec::{ByteReader, ByteWriter, CodecError};
 use exathlon_linalg::kernel::{self, DistanceKernel};
-use exathlon_tsdata::window::{materialized_windows_mode, WindowSet};
+use exathlon_tsdata::window::WindowSet;
 use exathlon_tsdata::TimeSeries;
 
 /// Configuration of the kNN scorer.
@@ -77,9 +77,6 @@ impl KnnDetector {
     pub fn score_record(&self, record: &[f64]) -> f64 {
         assert!(!self.kernel.is_empty(), "detector not fitted");
         let k = self.config.k.min(self.kernel.len());
-        if kernel::naive_distance_mode() {
-            return Self::score_row(k, &mut self.kernel.naive_sq_distances_to(record));
-        }
         self.kernel.with_sq_distances_to(record, |dists| Self::score_row(k, dists))
     }
 
@@ -112,27 +109,13 @@ impl AnomalyScorer for KnnDetector {
     fn fit(&mut self, train: &[&TimeSeries]) {
         let _sp = exathlon_linalg::obs::span("train", "kNN.fit");
         assert!(!train.is_empty(), "no training traces");
-        if materialized_windows_mode() {
-            // Pre-dataplane path: clone every record, then clone the
-            // subsample survivors.
-            let mut all: Vec<Vec<f64>> = Vec::new();
-            for ts in train {
-                all.extend(ts.records().map(|r| r.to_vec()));
-            }
-            assert!(!all.is_empty(), "empty training traces");
-            let refs = exathlon_tsdata::sample::stride_subsample(&all, self.config.max_references);
-            let bytes = ((all.len() + refs.len()) * train[0].dims() * 8) as u64;
-            exathlon_linalg::obs::counter("dataplane.materialized_bytes", bytes);
-            self.kernel = DistanceKernel::fit(&refs);
-        } else {
-            // Size-1 windows are record views: the kernel fits straight
-            // from borrowed slices, zero copies before its own sanitize.
-            let mut refs = WindowSet::pooled(train, 1);
-            assert!(!refs.is_empty(), "empty training traces");
-            refs.subsample(self.config.max_references);
-            let views: Vec<&[f64]> = (0..refs.len()).map(|i| refs.window(i)).collect();
-            self.kernel = DistanceKernel::fit(&views);
-        }
+        // Size-1 windows are record views: the kernel fits straight from
+        // borrowed slices, zero copies before its own sanitize.
+        let mut refs = WindowSet::pooled(train, 1);
+        assert!(!refs.is_empty(), "empty training traces");
+        refs.subsample(self.config.max_references);
+        let views: Vec<&[f64]> = (0..refs.len()).map(|i| refs.window(i)).collect();
+        self.kernel = DistanceKernel::fit(&views);
     }
 
     fn score_series(&self, ts: &TimeSeries) -> Vec<f64> {
@@ -147,15 +130,8 @@ impl AnomalyScorer for KnnDetector {
         let records: Vec<&[f64]> = ts.records().collect();
         let chunks: Vec<&[&[f64]]> = records.chunks(kernel::DIST_CHUNK).collect();
         let scored: Vec<Vec<f64>> = exathlon_linalg::par::par_map(&chunks, |chunk| {
-            if kernel::naive_distance_mode() {
-                chunk
-                    .iter()
-                    .map(|r| Self::score_row(k, &mut self.kernel.naive_sq_distances_to(r)))
-                    .collect()
-            } else {
-                let mut dists = self.kernel.sq_distances(chunk);
-                (0..dists.rows()).map(|i| Self::score_row(k, dists.row_mut(i))).collect()
-            }
+            let mut dists = self.kernel.sq_distances(chunk);
+            (0..dists.rows()).map(|i| Self::score_row(k, dists.row_mut(i))).collect()
         });
         scored.into_iter().flatten().collect()
     }

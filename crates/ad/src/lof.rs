@@ -10,7 +10,7 @@ use crate::scorer::AnomalyScorer;
 use exathlon_linalg::codec::{ByteReader, ByteWriter, CodecError};
 use exathlon_linalg::kernel::{self, DistanceKernel};
 use exathlon_linalg::Matrix;
-use exathlon_tsdata::window::{materialized_windows_mode, WindowSet};
+use exathlon_tsdata::window::WindowSet;
 use exathlon_tsdata::TimeSeries;
 
 /// Configuration of the LOF detector.
@@ -86,17 +86,10 @@ impl LofDetector {
     }
 
     /// Euclidean distances from every reference to every reference, as
-    /// one batched self-distance GEMM (or the retained scalar path in
-    /// naive mode). Both fit passes read from this single matrix.
+    /// one batched self-distance GEMM. Both fit passes read from this
+    /// single matrix.
     fn self_distances(&self) -> Matrix {
-        let mut sq = if kernel::naive_distance_mode() {
-            let rows: Vec<Vec<f64>> = (0..self.kernel.len())
-                .map(|i| self.kernel.naive_sq_distances_to(self.kernel.reference(i)))
-                .collect();
-            Matrix::from_rows(&rows)
-        } else {
-            self.kernel.self_sq_distances()
-        };
+        let mut sq = self.kernel.self_sq_distances();
         for v in sq.as_mut_slice() {
             *v = v.sqrt();
         }
@@ -175,9 +168,6 @@ impl LofDetector {
             KNN.set(knn);
             score
         };
-        if kernel::naive_distance_mode() {
-            return score(&mut self.kernel.naive_sq_distances_to(record));
-        }
         self.kernel.with_sq_distances_to(record, score)
     }
 
@@ -230,28 +220,13 @@ impl AnomalyScorer for LofDetector {
     fn fit(&mut self, train: &[&TimeSeries]) {
         let _sp = exathlon_linalg::obs::span("train", "LOF.fit");
         assert!(!train.is_empty(), "no training traces");
-        if materialized_windows_mode() {
-            // Pre-dataplane path: clone every record, then clone the
-            // subsample survivors.
-            let mut refs: Vec<Vec<f64>> = Vec::new();
-            for ts in train {
-                refs.extend(ts.records().map(|r| r.to_vec()));
-            }
-            assert!(refs.len() > self.config.k, "need more than k training records");
-            let subsampled =
-                exathlon_tsdata::sample::stride_subsample(&refs, self.config.max_references);
-            let bytes = ((refs.len() + subsampled.len()) * train[0].dims() * 8) as u64;
-            exathlon_linalg::obs::counter("dataplane.materialized_bytes", bytes);
-            self.kernel = DistanceKernel::fit(&subsampled);
-        } else {
-            // Size-1 windows are record views: the kernel fits straight
-            // from borrowed slices, zero copies before its own sanitize.
-            let mut refs = WindowSet::pooled(train, 1);
-            assert!(refs.len() > self.config.k, "need more than k training records");
-            refs.subsample(self.config.max_references);
-            let views: Vec<&[f64]> = (0..refs.len()).map(|i| refs.window(i)).collect();
-            self.kernel = DistanceKernel::fit(&views);
-        }
+        // Size-1 windows are record views: the kernel fits straight from
+        // borrowed slices, zero copies before its own sanitize.
+        let mut refs = WindowSet::pooled(train, 1);
+        assert!(refs.len() > self.config.k, "need more than k training records");
+        refs.subsample(self.config.max_references);
+        let views: Vec<&[f64]> = (0..refs.len()).map(|i| refs.window(i)).collect();
+        self.kernel = DistanceKernel::fit(&views);
 
         // One batched all-pairs distance matrix feeds both fit passes
         // (the old code recomputed every pass-2 distance from scratch).
@@ -290,15 +265,8 @@ impl AnomalyScorer for LofDetector {
         let chunks: Vec<&[&[f64]]> = records.chunks(kernel::DIST_CHUNK).collect();
         let scored: Vec<Vec<f64>> = exathlon_linalg::par::par_map(&chunks, |chunk| {
             let mut knn = Vec::new();
-            if kernel::naive_distance_mode() {
-                chunk
-                    .iter()
-                    .map(|r| self.score_row(&mut self.kernel.naive_sq_distances_to(r), &mut knn))
-                    .collect()
-            } else {
-                let mut sq = self.kernel.sq_distances(chunk);
-                (0..sq.rows()).map(|i| self.score_row(sq.row_mut(i), &mut knn)).collect()
-            }
+            let mut sq = self.kernel.sq_distances(chunk);
+            (0..sq.rows()).map(|i| self.score_row(sq.row_mut(i), &mut knn)).collect()
         });
         scored.into_iter().flatten().collect()
     }

@@ -10,7 +10,7 @@
 use crate::scorer::AnomalyScorer;
 use exathlon_nn::lstm::Lstm;
 use exathlon_nn::optimizer::Optimizer;
-use exathlon_tsdata::window::{materialized_windows_mode, WindowSet};
+use exathlon_tsdata::window::WindowSet;
 use exathlon_tsdata::TimeSeries;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -88,24 +88,11 @@ impl AnomalyScorer for LstmDetector {
         let dims = pairs.dims();
         let mut model = Lstm::new(dims, self.config.hidden, dims, &mut rng);
         let opt = Optimizer::adam(self.config.lr);
-        if materialized_windows_mode() {
-            // Pre-dataplane copies: every forecast pair was cloned record
-            // by record before the cap dropped most of them.
-            let owned: Vec<(Vec<f64>, Vec<f64>)> = (0..pairs.len())
-                .map(|i| (pairs.window(i).to_vec(), pairs.target(i).to_vec()))
-                .collect();
-            let bytes = (total * (pairs.flat_len() + dims) * 8) as u64;
-            exathlon_linalg::obs::counter("dataplane.materialized_bytes", bytes);
-            let views: Vec<(&[f64], &[f64])> =
-                owned.iter().map(|(s, t)| (&s[..], &t[..])).collect();
-            model.fit_flat(&views, self.config.epochs, self.config.batch_size, &opt, &mut rng);
-        } else {
-            // Windows and targets are contiguous views over the traces:
-            // the trainer reads them with zero staging copies.
-            let views: Vec<(&[f64], &[f64])> =
-                (0..pairs.len()).map(|i| (pairs.window(i), pairs.target(i))).collect();
-            model.fit_flat(&views, self.config.epochs, self.config.batch_size, &opt, &mut rng);
-        }
+        // Windows and targets are contiguous views over the traces: the
+        // trainer reads them with zero staging copies.
+        let views: Vec<(&[f64], &[f64])> =
+            (0..pairs.len()).map(|i| (pairs.window(i), pairs.target(i))).collect();
+        model.fit_flat(&views, self.config.epochs, self.config.batch_size, &opt, &mut rng);
         self.model = Some(model);
     }
 
@@ -118,22 +105,9 @@ impl AnomalyScorer for LstmDetector {
         if n <= w {
             return scores;
         }
-        let materialized = materialized_windows_mode();
-        if materialized {
-            exathlon_linalg::obs::counter(
-                "dataplane.materialized_bytes",
-                ((n - w) * w * ts.dims() * 8) as u64,
-            );
-        }
         #[allow(clippy::needless_range_loop)] // t indexes both the series and scores
         for t in w..n {
-            let forecast = if materialized {
-                // Pre-dataplane path: clone the window records per step.
-                let seq: Vec<Vec<f64>> = (t - w..t).map(|i| ts.record(i).to_vec()).collect();
-                model.predict(&seq)
-            } else {
-                model.predict_flat(ts.records_slice(t - w, w))
-            };
+            let forecast = model.predict_flat(ts.records_slice(t - w, w));
             let actual = ts.record(t);
             // Relative forecast error: squared error normalized by the
             // magnitude of the actual record (plus 1 to stabilize the

@@ -2,12 +2,10 @@
 //! `g: x -> R` of §5 step 3 — plus the window data plane shared by the
 //! window-based methods: pooled [`WindowSet`] views and the batch gather
 //! that assembles them into a `Matrix` with one `copy_from_slice` per
-//! window. `EXATHLON_MATERIALIZED_WINDOWS=1` switches back to the
-//! pre-dataplane owned-row path; both modes meter their copies through the
-//! `dataplane.gather_bytes` / `dataplane.materialized_bytes` obs counters.
+//! window, metered through the `dataplane.gather_bytes` obs counter.
 
 use exathlon_linalg::Matrix;
-use exathlon_tsdata::window::{materialized_windows_mode, WindowSet};
+use exathlon_tsdata::window::WindowSet;
 use exathlon_tsdata::TimeSeries;
 
 /// A semi-supervised anomaly scorer: fit a normality model on normal
@@ -35,10 +33,7 @@ pub trait AnomalyScorer {
 /// benchmark grants user algorithms, §4.3).
 ///
 /// Returns views, never owned rows: subsampling selects `(trace, start)`
-/// entries. In materialized mode the pre-dataplane copies (every stride-1
-/// window flattened, then the survivors cloned by the subsample) are
-/// performed for real — and metered — so the escape hatch reproduces the
-/// old path's cost, not just its values.
+/// entries.
 pub fn pooled_windows<'a>(
     train: &[&'a TimeSeries],
     window: usize,
@@ -47,40 +42,18 @@ pub fn pooled_windows<'a>(
     assert!(!train.is_empty(), "no training traces");
     let mut ws = WindowSet::pooled(train, window);
     assert!(!ws.is_empty(), "training traces shorter than the window size");
-    if materialized_windows_mode() {
-        let mut all = Vec::new();
-        for ts in train {
-            if ts.len() >= window {
-                all.extend(exathlon_tsdata::window::flattened_windows(ts, window, 1));
-            }
-        }
-        let kept = exathlon_tsdata::sample::stride_subsample(&all, max_windows);
-        let bytes = ((all.len() + kept.len()) * ws.flat_len() * 8) as u64;
-        exathlon_linalg::obs::counter("dataplane.materialized_bytes", bytes);
-        std::hint::black_box(kept);
-    }
     ws.subsample(max_windows);
     ws
 }
 
 /// Assemble the batch matrix for a window set, reusing `out`'s buffer:
-/// one `copy_from_slice` per window on the default path, or the owned
-/// rows + `Matrix::from_rows` double copy of the pre-dataplane plane
-/// under `EXATHLON_MATERIALIZED_WINDOWS=1`. Both paths produce
-/// byte-identical matrices.
+/// one `copy_from_slice` per window.
 pub fn gather_window_batch(ws: &WindowSet<'_>, out: &mut Matrix) {
-    let bytes = (ws.len() * ws.flat_len() * 8) as u64;
-    if materialized_windows_mode() {
-        let rows = ws.to_rows();
-        *out = Matrix::from_rows(&rows);
-        exathlon_linalg::obs::counter("dataplane.materialized_bytes", 2 * bytes);
-    } else {
-        out.reset(ws.len(), ws.flat_len());
-        for i in 0..ws.len() {
-            out.row_mut(i).copy_from_slice(ws.window(i));
-        }
-        exathlon_linalg::obs::counter("dataplane.gather_bytes", bytes);
+    out.reset(ws.len(), ws.flat_len());
+    for i in 0..ws.len() {
+        out.row_mut(i).copy_from_slice(ws.window(i));
     }
+    exathlon_linalg::obs::counter("dataplane.gather_bytes", (ws.len() * ws.flat_len() * 8) as u64);
 }
 
 /// [`gather_window_batch`] into a fresh matrix.

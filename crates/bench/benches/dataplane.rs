@@ -1,13 +1,13 @@
 //! Micro-benchmarks of the zero-copy window data plane: pooled-window
-//! construction + batch gather against the materialized escape hatch,
-//! and the fused resample+rescale transform against the staged chain.
+//! construction + batch gather, the AE score-batch gather, and the fused
+//! resample+rescale transform against the staged chain.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use exathlon_ad::scorer::{pooled_windows, window_batch};
 use exathlon_tsdata::resample::resample_mean;
 use exathlon_tsdata::scale::{DynamicScaler, StandardScaler};
 use exathlon_tsdata::series::default_names;
-use exathlon_tsdata::window::{WindowSet, MATERIALIZED_WINDOWS_ENV};
+use exathlon_tsdata::window::WindowSet;
 use exathlon_tsdata::TimeSeries;
 
 const DIMS: usize = 19;
@@ -24,47 +24,31 @@ fn trace(len: usize, seed: usize) -> TimeSeries {
 }
 
 /// The AE/BiGAN fit pool: pooled stride-1 windows capped by subsampling,
-/// gathered into one batch — per mode.
+/// gathered into one batch.
 fn bench_pooled_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("pooled_windows_batch");
     let traces: Vec<TimeSeries> = (0..4).map(|s| trace(2_000, s)).collect();
     let train: Vec<&TimeSeries> = traces.iter().collect();
-    for (mode, toggle) in [("materialized", true), ("zero_copy", false)] {
-        group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |bench, _| {
-            if toggle {
-                std::env::set_var(MATERIALIZED_WINDOWS_ENV, "1");
-            } else {
-                std::env::remove_var(MATERIALIZED_WINDOWS_ENV);
-            }
-            bench.iter(|| {
-                let ws = pooled_windows(&train, WINDOW, 2_000);
-                black_box(window_batch(&ws))
-            });
-            std::env::remove_var(MATERIALIZED_WINDOWS_ENV);
+    group.bench_function("zero_copy", |bench| {
+        bench.iter(|| {
+            let ws = pooled_windows(&train, WINDOW, 2_000);
+            black_box(window_batch(&ws))
         });
-    }
+    });
     group.finish();
 }
 
 /// The AE score path: every stride-1 window of a test trace gathered
-/// into one inference batch — per mode.
+/// into one inference batch.
 fn bench_score_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("score_batch");
     let test = trace(2_000, 7);
-    for (mode, toggle) in [("materialized", true), ("zero_copy", false)] {
-        group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |bench, _| {
-            if toggle {
-                std::env::set_var(MATERIALIZED_WINDOWS_ENV, "1");
-            } else {
-                std::env::remove_var(MATERIALIZED_WINDOWS_ENV);
-            }
-            bench.iter(|| {
-                let ws = WindowSet::from_series(&test, WINDOW, 1);
-                black_box(window_batch(&ws))
-            });
-            std::env::remove_var(MATERIALIZED_WINDOWS_ENV);
+    group.bench_function("zero_copy", |bench| {
+        bench.iter(|| {
+            let ws = WindowSet::from_series(&test, WINDOW, 1);
+            black_box(window_batch(&ws))
         });
-    }
+    });
     group.finish();
 }
 

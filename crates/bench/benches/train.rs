@@ -1,13 +1,10 @@
-//! Micro-benchmarks of the fused training step: SIMD elementwise
-//! kernels + reused per-network workspaces against the naive escape
-//! hatch (`EXATHLON_NAIVE_ELEMENTWISE=1`), which re-enacts the old
-//! clone-heavy training loop. One group per learned model: dense
-//! autoencoder batch, LSTM BPTT batch, and the BiGAN adversarial
+//! Micro-benchmarks of the fused training step (SIMD elementwise
+//! kernels + reused per-network workspaces). One group per learned model:
+//! dense autoencoder batch, LSTM BPTT batch, and the BiGAN adversarial
 //! two-step. `bench_train` (the binary) holds the headline epoch
 //! numbers; these are the per-step views.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use exathlon_linalg::elemwise::NAIVE_ELEMENTWISE_ENV;
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use exathlon_linalg::Matrix;
 use exathlon_nn::activation::Activation;
 use exathlon_nn::gan::BiGan;
@@ -22,16 +19,6 @@ const WINDOW: usize = 8;
 const AE_IN: usize = DIMS * WINDOW;
 const BATCH: usize = 32;
 
-const MODES: [(&str, bool); 2] = [("naive", true), ("fused", false)];
-
-fn set_mode(naive: bool) {
-    if naive {
-        std::env::set_var(NAIVE_ELEMENTWISE_ENV, "1");
-    } else {
-        std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-    }
-}
-
 fn sample_matrix(n: usize, dim: usize, seed: usize) -> Matrix {
     Matrix::from_fn(n, dim, |i, j| (((i + seed * 131) * 13 + j * 7) as f64 * 0.011).sin())
 }
@@ -43,13 +30,9 @@ fn bench_ae_step(c: &mut Criterion) {
     let mut ae = Mlp::autoencoder(AE_IN, &[64], 10, Activation::Relu, &mut rng);
     let xb = sample_matrix(BATCH, AE_IN, 3);
     let opt = Optimizer::adam(1e-3);
-    for (mode, naive) in MODES {
-        group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |bench, _| {
-            set_mode(naive);
-            bench.iter(|| black_box(ae.train_batch(&xb, &xb, &opt)));
-            std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-        });
-    }
+    group.bench_function("fused", |bench| {
+        bench.iter(|| black_box(ae.train_batch(&xb, &xb, &opt)));
+    });
     group.finish();
 }
 
@@ -67,13 +50,9 @@ fn bench_lstm_step(c: &mut Criterion) {
         .collect();
     let views: Vec<(&[f64], &[f64])> = seqs.iter().map(|(s, t)| (&s[..], &t[..])).collect();
     let opt = Optimizer::adam(1e-3);
-    for (mode, naive) in MODES {
-        group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |bench, _| {
-            set_mode(naive);
-            bench.iter(|| black_box(lstm.train_batch_flat(&views, &opt)));
-            std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-        });
-    }
+    group.bench_function("fused", |bench| {
+        bench.iter(|| black_box(lstm.train_batch_flat(&views, &opt)));
+    });
     group.finish();
 }
 
@@ -85,14 +64,10 @@ fn bench_gan_step(c: &mut Criterion) {
     let mut gan = BiGan::new(AE_IN, 6, 48, &mut rng);
     let xb = sample_matrix(BATCH, AE_IN, 4);
     let opt = Optimizer::adam(1e-3);
-    for (mode, naive) in MODES {
-        group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |bench, _| {
-            set_mode(naive);
-            let mut trng = StdRng::seed_from_u64(41);
-            bench.iter(|| black_box(gan.train_batch(&xb, &opt, &mut trng)));
-            std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-        });
-    }
+    group.bench_function("fused", |bench| {
+        let mut trng = StdRng::seed_from_u64(41);
+        bench.iter(|| black_box(gan.train_batch(&xb, &opt, &mut trng)));
+    });
     group.finish();
 }
 

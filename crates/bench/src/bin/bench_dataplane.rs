@@ -1,20 +1,20 @@
-//! Records the zero-copy window data plane speedups behind the PR's
-//! acceptance criteria: view-based pooled windows + gathered batches
-//! against the materialized escape hatch (which re-enacts the old
-//! flatten/clone/`from_rows` copies for real), and the fused
-//! resample+rescale transform against the staged two-pass version.
+//! Times the zero-copy window data plane: view-based pooled windows and
+//! gathered batches, and the fused resample+rescale transform against the
+//! staged two-pass version (both chains are called directly).
 //!
 //! Runs single-threaded (`EXATHLON_THREADS=1` is forced up front) so the
 //! numbers measure the data plane, not the worker pool. Also meters the
-//! bytes both planes copy via the `dataplane.*` observability counters
-//! and reports the copy-reduction ratio. Writes
-//! `results/BENCH_dataplane.json`.
+//! bytes the gathers copy via the `dataplane.gather_bytes` observability
+//! counter. Writes `results/BENCH_dataplane.json`, carrying forward the
+//! last measurement against the materialized-window path as frozen
+//! historical rows: that copy-per-window path no longer exists, so it is
+//! not re-measured.
 
 use exathlon_ad::scorer::{pooled_windows, window_batch};
 use exathlon_tsdata::resample::resample_mean;
 use exathlon_tsdata::scale::{DynamicScaler, StandardScaler};
 use exathlon_tsdata::series::default_names;
-use exathlon_tsdata::window::{WindowSet, MATERIALIZED_WINDOWS_ENV};
+use exathlon_tsdata::window::WindowSet;
 use exathlon_tsdata::TimeSeries;
 use std::time::Instant;
 
@@ -26,18 +26,17 @@ const TRACES: usize = 10;
 const TRACE_LEN: usize = 4_000;
 const MAX_WINDOWS: usize = 4_000;
 
-/// One measured baseline/data-plane pair.
-struct Group {
-    name: String,
-    baseline_ns: f64,
-    dataplane_ns: f64,
-}
-
-impl Group {
-    fn speedup(&self) -> f64 {
-        self.baseline_ns / self.dataplane_ns
-    }
-}
+/// The last measurement of the pre-dataplane materialized path against
+/// the then-new data plane (ns/op medians and metered bytes on the same
+/// workload), frozen as a historical record.
+const HISTORICAL: &str = r#"{
+    "source": "materialized-window baseline, measured while that path existed (frozen, not re-measured)",
+    "groups": [
+      {"name": "pooled_windows_batch", "baseline_ns": 42884475, "dataplane_ns": 922263, "speedup": 46.50},
+      {"name": "ae_score_batch", "baseline_ns": 3920144, "dataplane_ns": 579872, "speedup": 6.76}
+    ],
+    "bytes": {"gather_bytes": 9719488, "materialized_bytes": 72857856, "copy_reduction": 7.50}
+  }"#;
 
 /// Median wall time of `reps` calls, in ns/op (each call is one op).
 fn median_ns(reps: usize, mut op: impl FnMut()) -> f64 {
@@ -53,16 +52,6 @@ fn median_ns(reps: usize, mut op: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
-}
-
-/// Time `op` once per mode: under `EXATHLON_MATERIALIZED_WINDOWS=1`
-/// (baseline) and with the toggle cleared (data plane).
-fn mode_group(name: &str, reps: usize, mut op: impl FnMut()) -> Group {
-    std::env::set_var(MATERIALIZED_WINDOWS_ENV, "1");
-    let baseline_ns = median_ns(reps, &mut op);
-    std::env::remove_var(MATERIALIZED_WINDOWS_ENV);
-    let dataplane_ns = median_ns(reps, &mut op);
-    Group { name: name.to_string(), baseline_ns, dataplane_ns }
 }
 
 fn trace(len: usize, seed: usize) -> TimeSeries {
@@ -104,47 +93,32 @@ fn run_fused_transform(test: &TimeSeries, scaler: &StandardScaler, l: usize) {
     std::hint::black_box(dynamic.transform_series_resampled(test, l));
 }
 
-/// Meter the bytes one mode copies across the representative window
-/// workload (fit pool + gather, score batch), via the `dataplane.*`
-/// counters.
-fn measure_bytes(train: &[&TimeSeries], test: &TimeSeries, materialized: bool) -> (u64, u64) {
-    if materialized {
-        std::env::set_var(MATERIALIZED_WINDOWS_ENV, "1");
-    } else {
-        std::env::remove_var(MATERIALIZED_WINDOWS_ENV);
-    }
+/// Meter the bytes the representative window workload (fit pool +
+/// gather, score batch) copies, via the `dataplane.gather_bytes` counter.
+fn measure_gather_bytes(train: &[&TimeSeries], test: &TimeSeries) -> u64 {
     exathlon_linalg::obs::reset();
     run_pooled_batch(train);
     run_score_batch(test);
     let report = exathlon_linalg::obs::report();
-    std::env::remove_var(MATERIALIZED_WINDOWS_ENV);
-    let get =
-        |name: &str| report.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v).unwrap_or(0);
-    (get("dataplane.gather_bytes"), get("dataplane.materialized_bytes"))
+    report.counters.iter().find(|(n, _)| n == "dataplane.gather_bytes").map_or(0, |&(_, v)| v)
 }
 
-fn to_json(groups: &[Group], gather_bytes: u64, materialized_bytes: u64) -> String {
-    let reduction = materialized_bytes as f64 / gather_bytes.max(1) as f64;
-    let mut out = String::from("{\n  \"threads\": 1,\n  \"unit\": \"ns/op (median)\",\n");
-    out.push_str("  \"groups\": [\n");
-    for (i, g) in groups.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"baseline_ns\": {:.0}, \"dataplane_ns\": {:.0}, \
-             \"speedup\": {:.2}}}{}\n",
-            g.name,
-            g.baseline_ns,
-            g.dataplane_ns,
-            g.speedup(),
-            if i + 1 < groups.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"bytes\": {{\"gather_bytes\": {gather_bytes}, \
-         \"materialized_bytes\": {materialized_bytes}, \"copy_reduction\": {reduction:.2}}}\n"
-    ));
-    out.push_str("}\n");
-    out
+fn to_json(
+    pooled_ns: f64,
+    score_ns: f64,
+    staged_ns: f64,
+    fused_ns: f64,
+    gather_bytes: u64,
+) -> String {
+    format!(
+        "{{\n  \"threads\": 1,\n  \"unit\": \"ns/op (median)\",\n  \"groups\": [\n    \
+         {{\"name\": \"pooled_windows_batch\", \"dataplane_ns\": {pooled_ns:.0}}},\n    \
+         {{\"name\": \"ae_score_batch\", \"dataplane_ns\": {score_ns:.0}}},\n    \
+         {{\"name\": \"fused_transform\", \"baseline_ns\": {staged_ns:.0}, \
+         \"dataplane_ns\": {fused_ns:.0}, \"speedup\": {:.2}}}\n  ],\n  \
+         \"bytes\": {{\"gather_bytes\": {gather_bytes}}},\n  \"historical\": {HISTORICAL}\n}}\n",
+        staged_ns / fused_ns
+    )
 }
 
 fn main() {
@@ -164,44 +138,31 @@ fn main() {
     let scaler = StandardScaler::fit_pooled(&train);
 
     println!("Window data-plane benchmarks (single-threaded, {reps} reps, median):\n");
-    let groups = vec![
-        mode_group("pooled_windows_batch", reps, || run_pooled_batch(&train)),
-        mode_group("ae_score_batch", reps * 3, || run_score_batch(&test)),
-        Group {
-            name: "fused_transform".to_string(),
-            baseline_ns: median_ns(reps * 3, || run_staged_transform(&test, &scaler, 5)),
-            dataplane_ns: median_ns(reps * 3, || run_fused_transform(&test, &scaler, 5)),
-        },
-    ];
+    let pooled_ns = median_ns(reps, || run_pooled_batch(&train));
+    let score_ns = median_ns(reps * 3, || run_score_batch(&test));
+    let staged_ns = median_ns(reps * 3, || run_staged_transform(&test, &scaler, 5));
+    let fused_ns = median_ns(reps * 3, || run_fused_transform(&test, &scaler, 5));
+    println!("{:<22} {:>14.0} ns", "pooled_windows_batch", pooled_ns);
+    println!("{:<22} {:>14.0} ns", "ae_score_batch", score_ns);
+    println!(
+        "{:<22} {:>14.0} ns staged vs {fused_ns:.0} ns fused ({:.2}x)",
+        "fused_transform",
+        staged_ns,
+        staged_ns / fused_ns
+    );
 
-    println!("{:<22} {:>14} {:>14} {:>9}", "group", "baseline ns", "dataplane ns", "speedup");
-    for g in &groups {
-        println!(
-            "{:<22} {:>14.0} {:>14.0} {:>8.2}x",
-            g.name,
-            g.baseline_ns,
-            g.dataplane_ns,
-            g.speedup()
-        );
-    }
-
-    // Byte metering: one workload per mode, profiling on.
+    // Byte metering: one workload, profiling on.
     std::env::set_var(exathlon_linalg::obs::PROFILE_ENV, "1");
     exathlon_linalg::obs::refresh();
-    let (gather_bytes, _) = measure_bytes(&train, &test, false);
-    let (_, materialized_bytes) = measure_bytes(&train, &test, true);
+    let gather_bytes = measure_gather_bytes(&train, &test);
     std::env::remove_var(exathlon_linalg::obs::PROFILE_ENV);
     exathlon_linalg::obs::refresh();
-    println!(
-        "\nbytes copied: gather {gather_bytes} vs materialized {materialized_bytes} \
-         ({:.2}x reduction)",
-        materialized_bytes as f64 / gather_bytes.max(1) as f64
-    );
+    println!("\nbytes copied by the gathers: {gather_bytes}");
 
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join("BENCH_dataplane.json");
-    std::fs::write(&path, to_json(&groups, gather_bytes, materialized_bytes))
+    std::fs::write(&path, to_json(pooled_ns, score_ns, staged_ns, fused_ns, gather_bytes))
         .expect("write BENCH_dataplane.json");
     println!("\nWrote {}", path.display());
 }

@@ -1,18 +1,14 @@
-//! Records the fused-training-step speedups behind the PR's acceptance
-//! criteria: SIMD elementwise kernels + reused workspaces against the
-//! naive escape hatch (`EXATHLON_NAIVE_ELEMENTWISE=1`), which re-enacts
-//! the old clone-heavy training loop for real.
+//! Times the fused training step (SIMD elementwise kernels + reused
+//! workspaces) per epoch for the AE, the LSTM forecaster and the BiGAN,
+//! and meters its steady-state heap allocations per step with a counting
+//! global allocator — the step must be near allocation-free.
 //!
 //! Runs single-threaded (`EXATHLON_THREADS=1` is forced up front) so the
-//! numbers measure the training step, not the worker pool. The two modes
-//! are *interleaved* rep-by-rep (naive, fused, naive, fused, ...) and
-//! the per-mode medians compared — on a shared one-core box, sequential
-//! per-mode runs pick up clock drift and throttling as phantom speedups
-//! or slowdowns; interleaving cancels them. A counting global allocator
-//! meters steady-state heap allocations per training step after warm-up
-//! — the fused path must be near-zero. Writes `results/BENCH_train.json`.
+//! numbers measure the training step, not the worker pool. Writes
+//! `results/BENCH_train.json`, carrying forward the last measurement of
+//! the old clone-heavy training loop as frozen historical rows: that loop
+//! no longer exists, so it is not re-measured.
 
-use exathlon_linalg::elemwise::NAIVE_ELEMENTWISE_ENV;
 use exathlon_linalg::Matrix;
 use exathlon_nn::activation::Activation;
 use exathlon_nn::gan::BiGan;
@@ -81,42 +77,37 @@ fn count_allocs(mut op: impl FnMut()) -> (u64, u64) {
 // Timing
 // ---------------------------------------------------------------------------
 
-/// One measured naive/fused pair.
-struct Group {
-    name: String,
-    naive_ns: f64,
-    fused_ns: f64,
-}
+/// The last interleaved measurement of the pre-fusion clone-heavy loop
+/// (`naive_*`) against the fused step on the same workloads, frozen as a
+/// historical record.
+const HISTORICAL: &str = r#"{
+    "source": "clone-heavy training-loop baseline, measured while that loop existed (frozen, not re-measured)",
+    "groups": [
+      {"name": "ae_epoch", "naive_ns": 5610350, "fused_ns": 4853446, "speedup": 1.16},
+      {"name": "lstm_epoch", "naive_ns": 5338462, "fused_ns": 4165544, "speedup": 1.28},
+      {"name": "gan_epoch", "naive_ns": 6805228, "fused_ns": 4948300, "speedup": 1.38}
+    ],
+    "steady_state_allocs_per_step": [
+      {"name": "ae_step", "fused_allocs": 1, "fused_bytes": 1, "naive_allocs": 51, "naive_bytes": 816146},
+      {"name": "lstm_step", "fused_allocs": 0, "fused_bytes": 0, "naive_allocs": 4518, "naive_bytes": 9345318},
+      {"name": "gan_step", "fused_allocs": 1, "fused_bytes": 1, "naive_allocs": 232, "naive_bytes": 2569757}
+    ]
+  }"#;
 
-impl Group {
-    fn speedup(&self) -> f64 {
-        self.naive_ns / self.fused_ns
-    }
-}
-
-/// Interleaved per-mode medians: one warm-up call per mode (sizes the
-/// workspaces), then `reps` alternating naive/fused timed pairs.
-fn mode_group(name: &str, reps: usize, mut op: impl FnMut()) -> Group {
+/// Median wall time of `reps` calls after one warm-up call (which sizes
+/// the workspaces), in ns.
+fn median_ns(reps: usize, mut op: impl FnMut()) -> f64 {
     assert!(reps > 0);
-    std::env::set_var(NAIVE_ELEMENTWISE_ENV, "1");
     op();
-    std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-    op();
-    let mut naive = Vec::with_capacity(reps);
-    let mut fused = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        std::env::set_var(NAIVE_ELEMENTWISE_ENV, "1");
-        let start = Instant::now();
-        op();
-        naive.push(start.elapsed().as_nanos() as f64);
-        std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-        let start = Instant::now();
-        op();
-        fused.push(start.elapsed().as_nanos() as f64);
-    }
-    naive.sort_by(f64::total_cmp);
-    fused.sort_by(f64::total_cmp);
-    Group { name: name.to_string(), naive_ns: naive[reps / 2], fused_ns: fused[reps / 2] }
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            op();
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[reps / 2]
 }
 
 // ---------------------------------------------------------------------------
@@ -159,31 +150,26 @@ fn lstm_data(n: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
         .collect()
 }
 
-fn to_json(groups: &[Group], allocs: &[(String, u64, u64, u64, u64)]) -> String {
-    let mut out =
-        String::from("{\n  \"threads\": 1,\n  \"unit\": \"ns/epoch (interleaved median)\",\n");
-    out.push_str("  \"groups\": [\n");
-    for (i, g) in groups.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"naive_ns\": {:.0}, \"fused_ns\": {:.0}, \
-             \"speedup\": {:.2}}}{}\n",
-            g.name,
-            g.naive_ns,
-            g.fused_ns,
-            g.speedup(),
-            if i + 1 < groups.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"steady_state_allocs_per_step\": [\n");
-    for (i, (name, fc, fb, nc, nb)) in allocs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"fused_allocs\": {fc}, \"fused_bytes\": {fb}, \
-             \"naive_allocs\": {nc}, \"naive_bytes\": {nb}}}{}\n",
-            if i + 1 < allocs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// `(name, fused ns/epoch)` and `(name, allocs, bytes)` rows as JSON.
+fn to_json(epochs: &[(&str, f64)], allocs: &[(&str, u64, u64)]) -> String {
+    let epochs: Vec<String> = epochs
+        .iter()
+        .map(|(name, ns)| format!("    {{\"name\": \"{name}\", \"fused_ns\": {ns:.0}}}"))
+        .collect();
+    let allocs: Vec<String> = allocs
+        .iter()
+        .map(|(name, calls, bytes)| {
+            format!(
+                "    {{\"name\": \"{name}\", \"fused_allocs\": {calls}, \"fused_bytes\": {bytes}}}"
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"threads\": 1,\n  \"unit\": \"ns/epoch (median)\",\n  \"groups\": [\n{}\n  ],\n  \
+         \"steady_state_allocs_per_step\": [\n{}\n  ],\n  \"historical\": {HISTORICAL}\n}}\n",
+        epochs.join(",\n"),
+        allocs.join(",\n")
+    )
 }
 
 fn main() {
@@ -203,9 +189,7 @@ fn main() {
     let seqs = lstm_data(LSTM_SAMPLES);
     let seq_views: Vec<(&[f64], &[f64])> = seqs.iter().map(|(s, t)| (&s[..], &t[..])).collect();
 
-    println!(
-        "Fused training-step benchmarks (single-threaded, {reps} interleaved reps, median):\n"
-    );
+    println!("Fused training-step benchmarks (single-threaded, {reps} reps, median):\n");
 
     // Persistent networks: the workspaces warm up once, then every epoch
     // reuses them — exactly the fit-loop steady state being measured.
@@ -214,71 +198,61 @@ fn main() {
     let mut gan = gan_net();
     let mut rng = StdRng::seed_from_u64(23);
     let mut grng = StdRng::seed_from_u64(31);
-    let groups = vec![
-        mode_group("ae_epoch", reps, || {
-            ae.fit(&x, &x, 1, BATCH, &opt, &mut rng);
-        }),
-        mode_group("lstm_epoch", reps, || {
-            lstm.fit_flat(&seq_views, 1, BATCH, &opt, &mut rng);
-        }),
-        mode_group("gan_epoch", reps, || {
-            gan.fit(&gx, 1, BATCH, &opt, &mut grng);
-        }),
+    let epochs = [
+        (
+            "ae_epoch",
+            median_ns(reps, || {
+                ae.fit(&x, &x, 1, BATCH, &opt, &mut rng);
+            }),
+        ),
+        (
+            "lstm_epoch",
+            median_ns(reps, || {
+                lstm.fit_flat(&seq_views, 1, BATCH, &opt, &mut rng);
+            }),
+        ),
+        (
+            "gan_epoch",
+            median_ns(reps, || {
+                gan.fit(&gx, 1, BATCH, &opt, &mut grng);
+            }),
+        ),
     ];
-
-    println!("{:<14} {:>14} {:>14} {:>9}", "group", "naive ns", "fused ns", "speedup");
-    for g in &groups {
-        println!("{:<14} {:>14.0} {:>14.0} {:>8.2}x", g.name, g.naive_ns, g.fused_ns, g.speedup());
+    for (name, ns) in &epochs {
+        println!("{name:<14} {ns:>14.0} ns");
     }
 
-    // Steady-state allocations of one training step, after warm-up, per
-    // mode. The minibatch is prebuilt so the numbers isolate the step
-    // itself (forward, backward, optimizer), like the fit loop's
-    // steady state where batch scratch is already sized.
+    // Steady-state allocations of one training step, after warm-up. The
+    // minibatch is prebuilt so the numbers isolate the step itself
+    // (forward, backward, optimizer), like the fit loop's steady state
+    // where batch scratch is already sized.
     let xb = sample_matrix(BATCH, AE_IN, 3);
     let gb = sample_matrix(BATCH, AE_IN, 4);
     let step_batch: Vec<(&[f64], &[f64])> = seq_views[..BATCH.min(seq_views.len())].to_vec();
-    let mut allocs = Vec::new();
-    for (mode, toggle) in [("fused", false), ("naive", true)] {
-        if toggle {
-            std::env::set_var(NAIVE_ELEMENTWISE_ENV, "1");
-        } else {
-            std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-        }
-        let mut arng = StdRng::seed_from_u64(41);
-        for _ in 0..3 {
-            ae.train_batch(&xb, &xb, &opt); // warm the workspaces
-            lstm.train_batch_flat(&step_batch, &opt);
-            gan.train_batch(&gb, &opt, &mut arng);
-        }
-        let (ae_calls, ae_bytes) = count_allocs(|| {
-            ae.train_batch(&xb, &xb, &opt);
-        });
-        let (lstm_calls, lstm_bytes) = count_allocs(|| {
-            lstm.train_batch_flat(&step_batch, &opt);
-        });
-        let (gan_calls, gan_bytes) = count_allocs(|| {
-            gan.train_batch(&gb, &opt, &mut arng);
-        });
-        allocs.push((mode, ae_calls, ae_bytes, lstm_calls, lstm_bytes, gan_calls, gan_bytes));
+    let mut arng = StdRng::seed_from_u64(41);
+    for _ in 0..3 {
+        ae.train_batch(&xb, &xb, &opt); // warm the workspaces
+        lstm.train_batch_flat(&step_batch, &opt);
+        gan.train_batch(&gb, &opt, &mut arng);
     }
-    std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-
-    println!("\nsteady-state allocations per training step (after warm-up):");
-    println!(
-        "{:<8} {:>10} {:>12} {:>12} {:>12} {:>10} {:>12}",
-        "mode", "ae allocs", "ae bytes", "lstm allocs", "lstm bytes", "gan allocs", "gan bytes"
-    );
-    for (mode, ac, ab, lc, lb, gc, gb) in &allocs {
-        println!("{mode:<8} {ac:>10} {ab:>12} {lc:>12} {lb:>12} {gc:>10} {gb:>12}");
-    }
-
-    // Reshape per-step rows into per-model fused/naive records.
-    let per_model: Vec<(String, u64, u64, u64, u64)> = vec![
-        ("ae_step".to_string(), allocs[0].1, allocs[0].2, allocs[1].1, allocs[1].2),
-        ("lstm_step".to_string(), allocs[0].3, allocs[0].4, allocs[1].3, allocs[1].4),
-        ("gan_step".to_string(), allocs[0].5, allocs[0].6, allocs[1].5, allocs[1].6),
+    let (ae_calls, ae_bytes) = count_allocs(|| {
+        ae.train_batch(&xb, &xb, &opt);
+    });
+    let (lstm_calls, lstm_bytes) = count_allocs(|| {
+        lstm.train_batch_flat(&step_batch, &opt);
+    });
+    let (gan_calls, gan_bytes) = count_allocs(|| {
+        gan.train_batch(&gb, &opt, &mut arng);
+    });
+    let allocs = [
+        ("ae_step", ae_calls, ae_bytes),
+        ("lstm_step", lstm_calls, lstm_bytes),
+        ("gan_step", gan_calls, gan_bytes),
     ];
+    println!("\nsteady-state allocations per training step (after warm-up):");
+    for (name, calls, bytes) in &allocs {
+        println!("{name:<14} {calls:>6} allocs {bytes:>10} bytes");
+    }
 
     println!(
         "\nworkspace bytes held: ae {} lstm {} gan {}",
@@ -290,6 +264,6 @@ fn main() {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join("BENCH_train.json");
-    std::fs::write(&path, to_json(&groups, &per_model)).expect("write BENCH_train.json");
+    std::fs::write(&path, to_json(&epochs, &allocs)).expect("write BENCH_train.json");
     println!("\nWrote {}", path.display());
 }

@@ -19,7 +19,6 @@ use exathlon_sparksim::deg::AnomalyType;
 use exathlon_sparksim::metrics::custom_feature_set;
 use exathlon_tsdata::resample::resample_mean;
 use exathlon_tsdata::scale::{DynamicScaler, StandardScaler};
-use exathlon_tsdata::window::materialized_windows_mode;
 use exathlon_tsdata::TimeSeries;
 use exathlon_tsmetrics::Range;
 
@@ -186,25 +185,15 @@ impl FittedTransform {
     /// Transform a test segment: extract, resample, dynamically rescale,
     /// and project the ground truth into record-index space.
     ///
-    /// Resampling and rescaling run as one fused streaming pass; the
-    /// `EXATHLON_MATERIALIZED_WINDOWS` escape hatch restores the staged
-    /// path that materializes the resampled intermediate first (the two
-    /// are bitwise identical).
+    /// Resampling and rescaling run as one fused streaming pass, bitwise
+    /// identical to resampling first and then rescaling the materialized
+    /// intermediate (pinned in `exathlon_tsdata::scale`'s tests).
     pub fn apply_test(&self, segment: &TestSegment) -> TransformedTest {
         // Dynamic test-time rescaling seeded from the training statistics:
         // clone per trace so traces do not contaminate each other.
         let mut dynamic = DynamicScaler::from_standard(self.scaler.clone(), DYNAMIC_ALPHA);
-        let series = if materialized_windows_mode() {
-            let unscaled = self.extract_and_resample(&segment.series);
-            exathlon_linalg::obs::counter(
-                "dataplane.materialized_bytes",
-                (unscaled.len() * unscaled.dims() * 8) as u64,
-            );
-            dynamic.transform_series(&unscaled)
-        } else {
-            let extracted = Self::extract(self.feature_space, self.pca.as_ref(), &segment.series);
-            dynamic.transform_series_resampled(&extracted, self.resample_l)
-        };
+        let extracted = Self::extract(self.feature_space, self.pca.as_ref(), &segment.series);
+        let series = dynamic.transform_series_resampled(&extracted, self.resample_l);
         self.finish_test(segment, series)
     }
 

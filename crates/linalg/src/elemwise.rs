@@ -33,34 +33,20 @@
 //! not specify which zero `max(-0.0, +0.0)` returns, and the branch form
 //! is the one both the scalar and vector paths can reproduce exactly.
 //!
-//! # Dispatch and escape hatch
+//! # Dispatch
 //!
 //! The fused entry points honor the same runtime ISA detection and
-//! `EXATHLON_ISA` downgrade cap as the GEMM layer. Setting
-//! [`EXATHLON_NAIVE_ELEMENTWISE=1`](NAIVE_ELEMENTWISE_ENV) routes every
-//! entry point to its scalar reference *and* makes the `exathlon-nn`
-//! training loops re-enact their pre-workspace allocation behavior
-//! (cloned caches, fresh activation/gradient matrices, cloned SGD
-//! gradients) — the baseline that `bench_train` measures against and that
-//! `tests/trainstep_equivalence.rs` pins bitwise.
-
-/// Environment variable that routes training through the retained naive
-/// elementwise + allocation path (`=1`).
-pub const NAIVE_ELEMENTWISE_ENV: &str = "EXATHLON_NAIVE_ELEMENTWISE";
-
-/// True when [`NAIVE_ELEMENTWISE_ENV`] requests the naive path. Re-read
-/// on every call (same contract as the kernel and data-plane switches) so
-/// tests can toggle it at runtime.
-pub fn naive_elementwise_mode() -> bool {
-    std::env::var(NAIVE_ELEMENTWISE_ENV).map(|v| v.trim() == "1").unwrap_or(false)
-}
+//! `EXATHLON_ISA` downgrade cap as the GEMM layer: the AVX2 lanes run
+//! whenever a SIMD family is active, and the `naive_*` references are the
+//! scalar fallback otherwise (and on non-x86 hosts). The references are
+//! public so the property suite can pin each fused path against them.
 
 /// True when the fused kernels should take the AVX2 lane path: a SIMD
-/// family is active (after the `EXATHLON_ISA` cap) and the naive
-/// escape hatch is off.
+/// family is active after the `EXATHLON_ISA` cap, which
+/// [`crate::kernel`] selects only on CPUs with AVX2.
 #[inline]
 fn lanes_active() -> bool {
-    !naive_elementwise_mode() && crate::kernel::simd_active()
+    crate::kernel::simd_active()
 }
 
 /// Activation kind, mirrored by `exathlon_nn::activation::Activation`
@@ -158,7 +144,8 @@ pub fn bias_act(data: &mut [f64], rows: usize, cols: usize, bias: &[f64], act: A
     assert_eq!(bias.len(), cols, "bias_act bias length mismatch");
     #[cfg(target_arch = "x86_64")]
     if lanes_active() {
-        // SAFETY: `lanes_active` implies AVX2 was detected at runtime.
+        // SAFETY: `lanes_active` holds only when `kernel::isa()` chose a
+        // SIMD family, which it does only after detecting AVX2.
         unsafe { lanes::bias_act_avx2(data, cols, bias, act) };
         return;
     }
@@ -190,7 +177,8 @@ pub fn act_backward(y: &[f64], grad: &[f64], dz: &mut [f64], act: Act) {
     assert_eq!(y.len(), dz.len(), "act_backward output length mismatch");
     #[cfg(target_arch = "x86_64")]
     if lanes_active() {
-        // SAFETY: `lanes_active` implies AVX2 was detected at runtime.
+        // SAFETY: `lanes_active` holds only when `kernel::isa()` chose a
+        // SIMD family, which it does only after detecting AVX2.
         unsafe { lanes::act_backward_avx2(y, grad, dz, act) };
         return;
     }
@@ -214,7 +202,8 @@ pub fn accumulate(dst: &mut [f64], src: &[f64]) {
     assert_eq!(dst.len(), src.len(), "accumulate length mismatch");
     #[cfg(target_arch = "x86_64")]
     if lanes_active() {
-        // SAFETY: `lanes_active` implies AVX2 was detected at runtime.
+        // SAFETY: `lanes_active` holds only when `kernel::isa()` chose a
+        // SIMD family, which it does only after detecting AVX2.
         unsafe { lanes::accumulate_avx2(dst, src) };
         return;
     }
@@ -237,7 +226,8 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     #[cfg(target_arch = "x86_64")]
     if lanes_active() {
-        // SAFETY: `lanes_active` implies AVX2 was detected at runtime.
+        // SAFETY: `lanes_active` holds only when `kernel::isa()` chose a
+        // SIMD family, which it does only after detecting AVX2.
         unsafe { lanes::axpy_avx2(alpha, x, y) };
         return;
     }
@@ -256,7 +246,8 @@ pub fn naive_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 pub fn scale(data: &mut [f64], s: f64) {
     #[cfg(target_arch = "x86_64")]
     if lanes_active() {
-        // SAFETY: `lanes_active` implies AVX2 was detected at runtime.
+        // SAFETY: `lanes_active` holds only when `kernel::isa()` chose a
+        // SIMD family, which it does only after detecting AVX2.
         unsafe { lanes::scale_avx2(data, s) };
         return;
     }
@@ -287,7 +278,8 @@ pub fn outer_acc(a: &[f64], b: &[f64], out: &mut [f64]) {
             if ai == 0.0 {
                 continue;
             }
-            // SAFETY: `lanes_active` implies AVX2 was detected at runtime.
+            // SAFETY: `lanes_active` holds only when `kernel::isa()` chose a
+            // SIMD family, which it does only after detecting AVX2.
             unsafe { lanes::axpy_avx2(ai, b, row) };
         }
         return;
@@ -359,7 +351,8 @@ pub fn adam_update(
     let bc2 = 1.0 - beta2.powi(t as i32);
     #[cfg(target_arch = "x86_64")]
     if lanes_active() {
-        // SAFETY: `lanes_active` implies AVX2 was detected at runtime.
+        // SAFETY: `lanes_active` holds only when `kernel::isa()` chose a
+        // SIMD family, which it does only after detecting AVX2.
         unsafe { lanes::adam_avx2(value, grad, m, v, lr, beta1, beta2, eps, bc1, bc2) };
         return;
     }
@@ -707,12 +700,5 @@ mod tests {
         assert_eq!(out[1], 7.0);
         assert_eq!(out[2], f64::INFINITY);
         assert_eq!(out[3], 9.0);
-    }
-
-    #[test]
-    fn naive_mode_env_routes_scalar() {
-        // Smoke-check the switch parses; full equivalence is pinned by the
-        // integration suite (env mutation stays out of parallel unit tests).
-        assert!(!NAIVE_ELEMENTWISE_ENV.is_empty());
     }
 }

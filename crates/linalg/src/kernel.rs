@@ -35,10 +35,12 @@
 //! drift from the scalar reference at the ulp level (and are clamped at
 //! zero, where cancellation could otherwise produce tiny negatives). The
 //! regression suite pins the drift to ≤ 1e-9 relative error
-//! (`crates/linalg/tests/kernel_properties.rs`) and pins end-to-end
-//! detection metrics as unchanged (`tests/kernel_pipeline_equivalence.rs`).
-//! Setting [`NAIVE_KERNELS_ENV`]`=1` routes the distance consumers back
-//! onto the scalar reference path for A/B comparison.
+//! (`crates/linalg/tests/kernel_properties.rs`), the kNN/LOF consumers
+//! against a scalar oracle built on [`naive_sq_distance`]
+//! (`crates/ad/tests/sanitize_consistency.rs`), and the end-to-end
+//! output bits (`tests/golden_digests.rs`). The `naive_*` references
+//! stay public for those suites and the benches; no production path
+//! calls them.
 //!
 //! # Parallelism
 //!
@@ -65,16 +67,6 @@ pub const ROW_BLOCK: usize = 64;
 /// Queries per batch in the blocked distance consumers (kNN/LOF): bounds
 /// the `chunk × references` scratch matrix to a few MB.
 pub const DIST_CHUNK: usize = 256;
-
-/// Environment variable: set to `1` to route the distance-kernel
-/// consumers (kNN/LOF) back onto the retained scalar reference path.
-/// Used by the equivalence regression tests; re-read on every call.
-pub const NAIVE_KERNELS_ENV: &str = "EXATHLON_NAIVE_KERNELS";
-
-/// True when [`NAIVE_KERNELS_ENV`] requests the scalar reference path.
-pub fn naive_distance_mode() -> bool {
-    std::env::var(NAIVE_KERNELS_ENV).map(|v| v.trim() == "1").unwrap_or(false)
-}
 
 // ---------------------------------------------------------------------------
 // GEMM micro-kernels
@@ -219,10 +211,14 @@ fn isa() -> Isa {
         let mut detected = Isa::Scalar;
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                detected = Isa::Avx512;
-            } else if std::arch::is_x86_feature_detected!("avx2") {
-                detected = Isa::Avx2;
+            // Both SIMD families require AVX2: the elemwise lanes
+            // (`crate::elemwise`) run AVX2 code whenever `simd_active()`.
+            if std::arch::is_x86_feature_detected!("avx2") {
+                detected = if std::arch::is_x86_feature_detected!("avx512f") {
+                    Isa::Avx512
+                } else {
+                    Isa::Avx2
+                };
             }
         }
         match std::env::var("EXATHLON_ISA").as_deref().map(str::trim) {
@@ -234,9 +230,10 @@ fn isa() -> Isa {
 }
 
 /// True when a SIMD family (AVX2 or AVX-512) survived detection and the
-/// `EXATHLON_ISA` cap. The elemwise layer ([`crate::elemwise`]) keys its
-/// 4-lane AVX2 paths off the same switch so one environment variable
-/// controls every vector path in the crate.
+/// `EXATHLON_ISA` cap. Either family is selected only on a CPU with AVX2,
+/// so `true` guarantees AVX2: the elemwise layer ([`crate::elemwise`])
+/// relies on that to run its 4-lane AVX2 paths, and one environment
+/// variable controls every vector path in the crate.
 pub(crate) fn simd_active() -> bool {
     isa() != Isa::Scalar
 }
@@ -1140,8 +1137,8 @@ impl DistanceKernel {
     }
 
     /// Scalar reference path: squared distances from one query to every
-    /// reference via the retained per-pair loop. Used when
-    /// [`naive_distance_mode`] is on and by the regression tests.
+    /// reference via the retained per-pair loop. Used by the regression
+    /// tests.
     pub fn naive_sq_distances_to(&self, query: &[f64]) -> Vec<f64> {
         self.refs.iter_rows().map(|r| naive_sq_distance(query, r)).collect()
     }

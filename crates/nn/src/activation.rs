@@ -2,8 +2,8 @@
 //!
 //! The canonical per-element expressions live in
 //! [`exathlon_linalg::elemwise::Act`] (shared with the fused SIMD
-//! training kernels); the allocating matrix forms here are the retained
-//! naive path that `EXATHLON_NAIVE_ELEMENTWISE=1` re-enacts.
+//! training kernels); the allocating matrix forms here serve inference
+//! callers and the tests' textbook oracles.
 
 use exathlon_linalg::elemwise::Act;
 use exathlon_linalg::Matrix;

@@ -5,15 +5,14 @@
 //! into the epilogue via [`exathlon_linalg::elemwise::bias_act`]),
 //! backward consumes them in place, and gradients accumulate through a
 //! reused `dw` scratch — zero allocations per minibatch once the buffers
-//! reach the steady batch shape. Setting `EXATHLON_NAIVE_ELEMENTWISE=1`
-//! re-enacts the historical clone-per-step path (fresh `z`, activation,
-//! derivative and gradient matrices every call) with bitwise-identical
-//! results — the baseline `bench_train` measures and
-//! `tests/trainstep_equivalence.rs` pins.
+//! reach the steady batch shape. The results are bitwise those of the
+//! textbook clone-per-step formulation (fresh `z`, activation, derivative
+//! and gradient matrices every call), which the unit tests below keep as
+//! the oracle.
 
 use crate::activation::Activation;
 use crate::param::Param;
-use exathlon_linalg::elemwise::{self, naive_elementwise_mode};
+use exathlon_linalg::elemwise;
 use exathlon_linalg::{kernel, obs, Matrix};
 use rand::rngs::StdRng;
 
@@ -96,24 +95,9 @@ impl Dense {
 
     /// Forward pass into the layer workspace: input staged with one copy,
     /// GEMM into the reused output buffer, bias + activation fused into
-    /// the epilogue. No allocation at steady state; bitwise identical to
-    /// the historical clone-per-call path, which
-    /// `EXATHLON_NAIVE_ELEMENTWISE=1` re-enacts.
+    /// the epilogue. No allocation at steady state.
     pub fn forward_cached(&mut self, x: &Matrix) {
         assert_eq!(x.cols(), self.in_dim(), "dense input dimension mismatch");
-        if naive_elementwise_mode() {
-            // Historical path: fresh z + activation matrices inside
-            // `forward_inference`, then cloned input/output caches.
-            let out = self.forward_inference(x);
-            obs::counter(
-                "train.alloc_bytes",
-                (8 * (x.as_slice().len() + 3 * out.as_slice().len())) as u64,
-            );
-            self.ws.input = x.clone();
-            self.ws.output = out;
-            self.ws.cached = true;
-            return;
-        }
         let ws = &mut self.ws;
         ws.input.copy_from(x);
         kernel::matmul_transpose_into(x, &self.weight.value, &mut ws.wt, &mut ws.output);
@@ -144,16 +128,6 @@ impl Dense {
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_dim(), "dense input dimension mismatch");
         let mut z = x.matmul_transpose(&self.weight.value);
-        if naive_elementwise_mode() {
-            // Historical path: scalar bias loop + allocating activation map.
-            for i in 0..z.rows() {
-                let row = z.row_mut(i);
-                for (v, b) in row.iter_mut().zip(self.bias.value.row(0)) {
-                    *v += b;
-                }
-            }
-            return self.activation.forward(&z);
-        }
         let rows = z.rows();
         elemwise::bias_act(
             z.as_mut_slice(),
@@ -205,27 +179,6 @@ impl Dense {
     pub fn backward_into(&mut self, grad_out: &Matrix, dx: &mut Matrix) {
         assert!(self.ws.cached, "backward before forward");
         assert_eq!(grad_out.shape(), self.ws.output.shape(), "grad shape mismatch");
-        if naive_elementwise_mode() {
-            // Historical path: derivative matrix + hadamard + fresh dw/dx.
-            let x = &self.ws.input;
-            let y = &self.ws.output;
-            let dz = grad_out.hadamard(&self.activation.derivative_from_output(y));
-            let dw = dz.transpose_matmul(x);
-            self.weight.grad += &dw;
-            for i in 0..dz.rows() {
-                let row = dz.row(i);
-                for (g, &d) in self.bias.grad.row_mut(0).iter_mut().zip(row) {
-                    *g += d;
-                }
-            }
-            let out = dz.matmul(&self.weight.value);
-            obs::counter(
-                "train.alloc_bytes",
-                (8 * (2 * dz.as_slice().len() + dw.as_slice().len() + out.as_slice().len())) as u64,
-            );
-            *dx = out;
-            return;
-        }
         let ws = &mut self.ws;
         let act = self.activation.kind();
         ws.dz.reset(grad_out.rows(), grad_out.cols());
@@ -387,6 +340,56 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut layer = Dense::new(2, 2, Activation::Relu, &mut rng());
         let _ = layer.backward(&Matrix::zeros(1, 2));
+    }
+
+    /// The fused workspace step is bitwise the textbook clone-per-step
+    /// formulation: fresh `z`, activation, derivative and gradient
+    /// matrices, a scalar bias loop. Backward runs twice between
+    /// `zero_grad`s, as the BiGAN discriminator's does, so the gradient
+    /// accumulation order is pinned too.
+    #[test]
+    fn fused_step_matches_textbook_oracle_bitwise() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for act in [
+            Activation::Relu,
+            Activation::LeakyRelu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Identity,
+        ] {
+            let mut fused = Dense::new(5, 3, act, &mut rng());
+            let mut oracle = fused.clone();
+            fused.zero_grad();
+            oracle.zero_grad();
+            let mut dx = Matrix::default();
+            for step in 0..2 {
+                let x = Matrix::from_fn(6, 5, |i, j| ((i * 5 + j + step) as f64 * 0.37).sin());
+                let g = Matrix::from_fn(6, 3, |i, j| ((i + 2 * j + step) as f64 * 0.53).cos());
+
+                fused.forward_cached(&x);
+                fused.backward_into(&g, &mut dx);
+
+                let mut z = x.matmul_transpose(&oracle.weight.value);
+                for i in 0..z.rows() {
+                    for (v, b) in z.row_mut(i).iter_mut().zip(oracle.bias.value.row(0)) {
+                        *v += b;
+                    }
+                }
+                let y = oracle.activation.forward(&z);
+                assert_eq!(bits(fused.output()), bits(&y), "{act:?} forward");
+                assert_eq!(bits(&fused.forward_inference(&x)), bits(&y), "{act:?} inference");
+                let dz = g.hadamard(&oracle.activation.derivative_from_output(&y));
+                oracle.weight.grad += &dz.transpose_matmul(&x);
+                for i in 0..dz.rows() {
+                    for (b, &d) in oracle.bias.grad.row_mut(0).iter_mut().zip(dz.row(i)) {
+                        *b += d;
+                    }
+                }
+                assert_eq!(bits(&dx), bits(&dz.matmul(&oracle.weight.value)), "{act:?} dx");
+            }
+            assert_eq!(bits(&fused.weight.grad), bits(&oracle.weight.grad), "{act:?} dW");
+            assert_eq!(bits(&fused.bias.grad), bits(&oracle.bias.grad), "{act:?} db");
+        }
     }
 
     /// The workspace survives batch-shape changes (last chunk of an epoch

@@ -8,18 +8,16 @@
 //!
 //! Training stages every per-batch intermediate — latent draws, label
 //! matrices, pair concatenations and split gradients — in a reusable
-//! [`GanWorkspace`], so steady-state steps stop allocating. The
-//! historical allocating step is retained verbatim as the
-//! `EXATHLON_NAIVE_ELEMENTWISE=1` reference; both paths consume the same
-//! RNG stream and evaluate the same expressions in the same order, so
-//! they are bitwise identical.
+//! [`GanWorkspace`], so steady-state steps stop allocating. The unit
+//! tests keep the textbook allocating step as an oracle: both consume the
+//! same RNG stream and evaluate the same expressions in the same order,
+//! so they are bitwise identical.
 
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::loss::{bce, bce_grad, bce_grad_into, row_squared_errors};
+use crate::loss::{bce, bce_grad_into, row_squared_errors};
 use crate::mlp::Mlp;
 use crate::optimizer::Optimizer;
-use exathlon_linalg::elemwise::naive_elementwise_mode;
 use exathlon_linalg::{obs, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -170,15 +168,9 @@ impl BiGan {
         }
     }
 
-    fn split_grad(&self, g: &Matrix) -> (Matrix, Matrix) {
-        let gx = g.select_cols(&(0..self.in_dim).collect::<Vec<_>>());
-        let gz = g.select_cols(&(self.in_dim..self.in_dim + self.latent).collect::<Vec<_>>());
-        (gx, gz)
-    }
-
-    /// [`BiGan::split_grad`] into caller-reused buffers — the column
-    /// ranges are contiguous, so each row splits with two slice copies
-    /// (bitwise identical to the `select_cols` path).
+    /// Split a pair gradient into its `x` and `z` column blocks, into
+    /// caller-reused buffers — the column ranges are contiguous, so each
+    /// row splits with two slice copies.
     fn split_grad_into(&self, g: &Matrix, gx: &mut Matrix, gz: &mut Matrix) {
         gx.reset(g.rows(), self.in_dim);
         gz.reset(g.rows(), self.latent);
@@ -217,9 +209,6 @@ impl BiGan {
 
     /// One adversarial training step on a batch of real samples.
     pub fn train_batch(&mut self, x: &Matrix, opt: &Optimizer, rng: &mut StdRng) -> GanLosses {
-        if naive_elementwise_mode() {
-            return self.train_batch_naive(x, opt, rng);
-        }
         let mut ws = std::mem::take(&mut self.ws);
         let losses = self.train_batch_ws(x, opt, rng, &mut ws);
         self.ws = ws;
@@ -242,8 +231,8 @@ impl BiGan {
     /// The fused training step: all intermediates staged in `ws`, one
     /// encoder and one generator forward per batch (their cached
     /// activations stay valid across the D and E/G passes because their
-    /// weights only update at the end). Bitwise identical to
-    /// [`BiGan::train_batch_naive`].
+    /// weights only update at the end). Bitwise identical to the
+    /// allocating oracle in the tests.
     fn train_batch_ws(
         &mut self,
         x: &Matrix,
@@ -338,84 +327,6 @@ impl BiGan {
         GanLosses { d_loss: d_loss / 2.0, eg_loss: eg_loss / 2.0 }
     }
 
-    /// The historical allocating training step, retained as the
-    /// `EXATHLON_NAIVE_ELEMENTWISE=1` reference.
-    fn train_batch_naive(&mut self, x: &Matrix, opt: &Optimizer, rng: &mut StdRng) -> GanLosses {
-        let n = x.rows();
-        let z = Matrix::from_fn(n, self.latent, |_, _| rng.gen_range(-1.0..1.0));
-        let ones = Matrix::filled(n, 1, 1.0);
-        let zeros = Matrix::filled(n, 1, 0.0);
-
-        // --- Discriminator step: real (x, E(x)) -> 1, fake (G(z), z) -> 0.
-        let e_x = self.encoder.predict(x);
-        let g_z = self.generator.predict(&z);
-        self.d_features.zero_grad();
-        self.d_head.zero_grad();
-        let mut d_loss = 0.0;
-        for (input, target) in [(Self::concat(x, &e_x), &ones), (Self::concat(&g_z, &z), &zeros)] {
-            let f = self.d_features.forward(&input);
-            let p = self.d_head.forward(&f);
-            d_loss += bce(&p, target);
-            let g = self.d_head.backward(&bce_grad(&p, target));
-            let _ = self.d_features.backward(&g);
-        }
-        self.d_features.apply_step(opt);
-        self.step += 1;
-        {
-            let step = self.step;
-            let mut head_params = self.d_head.params_mut();
-            opt.step(&mut head_params, step);
-        }
-
-        // --- Encoder+generator step: swap labels to fool D.
-        self.encoder.zero_grad();
-        self.generator.zero_grad();
-        let mut eg_loss = 0.0;
-
-        // Real pair should look fake to D: gradient flows into E via z slot.
-        let e_x = self.encoder.forward(x);
-        {
-            self.d_features.zero_grad();
-            self.d_head.zero_grad();
-            let f = self.d_features.forward(&Self::concat(x, &e_x));
-            let p = self.d_head.forward(&f);
-            eg_loss += bce(&p, &zeros);
-            let g = self.d_head.backward(&bce_grad(&p, &zeros));
-            let g_in = self.d_features.backward(&g);
-            let (_, gz) = self.split_grad(&g_in);
-            let _ = self.encoder.backward(&gz);
-        }
-        // Fake pair should look real to D: gradient flows into G via x slot.
-        let g_z = self.generator.forward(&z);
-        {
-            self.d_features.zero_grad();
-            self.d_head.zero_grad();
-            let f = self.d_features.forward(&Self::concat(&g_z, &z));
-            let p = self.d_head.forward(&f);
-            eg_loss += bce(&p, &ones);
-            let g = self.d_head.backward(&bce_grad(&p, &ones));
-            let g_in = self.d_features.backward(&g);
-            let (gx, _) = self.split_grad(&g_in);
-            let _ = self.generator.backward(&gx);
-        }
-        // Discard the D gradients accumulated while backpropagating through
-        // it; only E and G update here.
-        self.d_features.zero_grad();
-        self.d_head.zero_grad();
-        self.encoder.apply_step(opt);
-        self.generator.apply_step(opt);
-
-        // Meter the dominant GAN-level fresh allocations of this
-        // historical path (latent draws, labels, pair concats and split
-        // gradients); the naive layer internals meter their own.
-        let pair = self.in_dim + self.latent;
-        obs::counter(
-            "train.alloc_bytes",
-            (8 * n * (2 * self.latent + 2 * self.in_dim + 2 + 6 * pair + 4)) as u64,
-        );
-        GanLosses { d_loss: d_loss / 2.0, eg_loss: eg_loss / 2.0 }
-    }
-
     /// Train for `epochs` over the rows of `data` with shuffled
     /// minibatches; returns the last epoch's losses.
     pub fn fit(
@@ -462,7 +373,94 @@ impl BiGan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::bce_grad;
     use rand::SeedableRng;
+
+    impl BiGan {
+        fn split_grad(&self, g: &Matrix) -> (Matrix, Matrix) {
+            let gx = g.select_cols(&(0..self.in_dim).collect::<Vec<_>>());
+            let gz = g.select_cols(&(self.in_dim..self.in_dim + self.latent).collect::<Vec<_>>());
+            (gx, gz)
+        }
+
+        /// The textbook allocating training step: fresh latent, label, pair
+        /// and gradient matrices on every call. The oracle of
+        /// [`BiGan::train_batch_ws`].
+        fn train_batch_naive(
+            &mut self,
+            x: &Matrix,
+            opt: &Optimizer,
+            rng: &mut StdRng,
+        ) -> GanLosses {
+            let n = x.rows();
+            let z = Matrix::from_fn(n, self.latent, |_, _| rng.gen_range(-1.0..1.0));
+            let ones = Matrix::filled(n, 1, 1.0);
+            let zeros = Matrix::filled(n, 1, 0.0);
+
+            // --- Discriminator step: real (x, E(x)) -> 1, fake (G(z), z) -> 0.
+            let e_x = self.encoder.predict(x);
+            let g_z = self.generator.predict(&z);
+            self.d_features.zero_grad();
+            self.d_head.zero_grad();
+            let mut d_loss = 0.0;
+            for (input, target) in
+                [(Self::concat(x, &e_x), &ones), (Self::concat(&g_z, &z), &zeros)]
+            {
+                let f = self.d_features.forward(&input);
+                let p = self.d_head.forward(&f);
+                d_loss += bce(&p, target);
+                let g = self.d_head.backward(&bce_grad(&p, target));
+                let _ = self.d_features.backward(&g);
+            }
+            self.d_features.apply_step(opt);
+            self.step += 1;
+            {
+                let step = self.step;
+                let mut head_params = self.d_head.params_mut();
+                opt.step(&mut head_params, step);
+            }
+
+            // --- Encoder+generator step: swap labels to fool D.
+            self.encoder.zero_grad();
+            self.generator.zero_grad();
+            let mut eg_loss = 0.0;
+
+            // Real pair should look fake to D: gradient flows into E via z slot.
+            let e_x = self.encoder.forward(x);
+            {
+                self.d_features.zero_grad();
+                self.d_head.zero_grad();
+                let f = self.d_features.forward(&Self::concat(x, &e_x));
+                let p = self.d_head.forward(&f);
+                eg_loss += bce(&p, &zeros);
+                let g = self.d_head.backward(&bce_grad(&p, &zeros));
+                let g_in = self.d_features.backward(&g);
+                let (_, gz) = self.split_grad(&g_in);
+                let _ = self.encoder.backward(&gz);
+            }
+            // Fake pair should look real to D: gradient flows into G via x slot.
+            let g_z = self.generator.forward(&z);
+            {
+                self.d_features.zero_grad();
+                self.d_head.zero_grad();
+                let f = self.d_features.forward(&Self::concat(&g_z, &z));
+                let p = self.d_head.forward(&f);
+                eg_loss += bce(&p, &ones);
+                let g = self.d_head.backward(&bce_grad(&p, &ones));
+                let g_in = self.d_features.backward(&g);
+                let (gx, _) = self.split_grad(&g_in);
+                let _ = self.generator.backward(&gx);
+            }
+            // Discard the D gradients accumulated while backpropagating through
+            // it; only E and G update here.
+            self.d_features.zero_grad();
+            self.d_head.zero_grad();
+            self.encoder.apply_step(opt);
+            self.generator.apply_step(opt);
+
+            GanLosses { d_loss: d_loss / 2.0, eg_loss: eg_loss / 2.0 }
+        }
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(31)

@@ -7,18 +7,16 @@
 //!
 //! Training runs through a reusable [`LstmWorkspace`]: the per-step gate
 //! activations, cell and hidden states are staged row-per-step in
-//! pre-sized buffers (the same values the historical `StepCache` held)
-//! and reused across samples, minibatches and epochs, so steady-state
-//! epochs perform no per-step allocation. The `StepCache` path is
-//! retained verbatim as the naive reference that
-//! `EXATHLON_NAIVE_ELEMENTWISE=1` re-enacts; both paths evaluate the
-//! same expressions in the same order and are bitwise identical.
+//! pre-sized buffers and reused across samples, minibatches and epochs,
+//! so steady-state epochs perform no per-step allocation. The unit tests
+//! keep the textbook formulation, one allocated `StepCache` per step, as
+//! an oracle: both evaluate the same expressions in the same order and
+//! are bitwise identical.
 
 use crate::activation::sigmoid;
-use crate::loss::{mse, mse_grad};
 use crate::optimizer::{clip_grad_norm, Optimizer};
 use crate::param::Param;
-use exathlon_linalg::elemwise::{self, naive_elementwise_mode};
+use exathlon_linalg::elemwise;
 use exathlon_linalg::{kernel, obs, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -107,20 +105,6 @@ pub struct Lstm {
     ws: LstmWorkspace,
 }
 
-/// Per-step forward cache for BPTT — the retained naive path
-/// (`EXATHLON_NAIVE_ELEMENTWISE=1`) allocates one per step, exactly as
-/// the historical implementation did.
-struct StepCache {
-    x: Vec<f64>,
-    i: Vec<f64>,
-    f: Vec<f64>,
-    o: Vec<f64>,
-    g: Vec<f64>,
-    c: Vec<f64>,
-    tanh_c: Vec<f64>,
-    h: Vec<f64>,
-}
-
 impl Lstm {
     /// Create an LSTM mapping sequences of `in_dim` vectors to a single
     /// `out_dim` prediction through `hidden` units.
@@ -189,11 +173,11 @@ impl Lstm {
     }
 
     /// Fused forward pass staged in `ws`; returns the step count, with
-    /// the prediction left in `ws.y`. Same arithmetic as
-    /// [`Lstm::forward_sequence`] expression for expression (one GEMM for
-    /// the input-side pre-activations, single-accumulator matvec for the
-    /// recurrent side), so every stored value is bitwise identical to the
-    /// `StepCache` path — without per-step allocation once warm.
+    /// the prediction left in `ws.y`. One GEMM for the input-side
+    /// pre-activations and a single-accumulator matvec for the recurrent
+    /// side, so every stored value is bitwise identical to the tests'
+    /// per-step `StepCache` oracle — without per-step allocation once
+    /// warm.
     fn forward_ws(&self, seq: &[f64], ws: &mut LstmWorkspace) -> usize {
         let h_dim = self.hidden;
         let t_len = self.steps_of(seq);
@@ -252,71 +236,6 @@ impl Lstm {
         t_len
     }
 
-    /// Naive forward pass: the historical `StepCache`-allocating path,
-    /// retained as the `EXATHLON_NAIVE_ELEMENTWISE=1` reference.
-    fn forward_sequence(&self, seq: &[f64]) -> (Vec<StepCache>, Vec<f64>) {
-        let h_dim = self.hidden;
-        let t_len = self.steps_of(seq);
-        let mut h = vec![0.0; h_dim];
-        let mut c = vec![0.0; h_dim];
-        let mut caches = Vec::with_capacity(t_len);
-        // The input-side gate pre-activations have no recurrent
-        // dependency, so all steps go through one GEMM: row `t` of `wxx`
-        // is `Wx·x_t`, with the same products in the same order as the
-        // per-step matvec (bitwise-identical results). The flat buffer has
-        // exactly the row-major layout `from_rows` used to build, so the
-        // GEMM input — and everything downstream — is bitwise unchanged.
-        let wxx = if t_len == 0 {
-            Matrix::zeros(0, GATES * h_dim)
-        } else {
-            Matrix::from_vec(t_len, self.in_dim, seq.to_vec()).matmul_transpose(&self.wx.value)
-        };
-        for t in 0..t_len {
-            let x = &seq[t * self.in_dim..(t + 1) * self.in_dim];
-            // z = Wx x + Wh h + b
-            let zh = self.wh.value.matvec(&h);
-            let mut z = wxx.row(t).to_vec();
-            for (zi, (zhi, bi)) in z.iter_mut().zip(zh.iter().zip(self.b.value.as_slice())) {
-                *zi += zhi + bi;
-            }
-            let mut i_g = vec![0.0; h_dim];
-            let mut f_g = vec![0.0; h_dim];
-            let mut o_g = vec![0.0; h_dim];
-            let mut g_g = vec![0.0; h_dim];
-            for j in 0..h_dim {
-                i_g[j] = sigmoid(z[j]);
-                f_g[j] = sigmoid(z[h_dim + j]);
-                o_g[j] = sigmoid(z[2 * h_dim + j]);
-                g_g[j] = z[3 * h_dim + j].tanh();
-            }
-            let mut new_c = vec![0.0; h_dim];
-            let mut tanh_c = vec![0.0; h_dim];
-            let mut new_h = vec![0.0; h_dim];
-            for j in 0..h_dim {
-                new_c[j] = f_g[j] * c[j] + i_g[j] * g_g[j];
-                tanh_c[j] = new_c[j].tanh();
-                new_h[j] = o_g[j] * tanh_c[j];
-            }
-            caches.push(StepCache {
-                x: x.to_vec(),
-                i: i_g,
-                f: f_g,
-                o: o_g,
-                g: g_g,
-                c: new_c.clone(),
-                tanh_c,
-                h: new_h.clone(),
-            });
-            h = new_h;
-            c = new_c;
-        }
-        let mut y = self.wy.value.matvec(&h);
-        for (yi, bi) in y.iter_mut().zip(self.by.value.as_slice()) {
-            *yi += bi;
-        }
-        (caches, y)
-    }
-
     /// Predict the next record from a sequence of input records.
     pub fn predict(&self, seq: &[Vec<f64>]) -> Vec<f64> {
         self.predict_flat(&self.flatten_seq(seq))
@@ -328,9 +247,6 @@ impl Lstm {
     /// # Panics
     /// Panics if `seq.len()` is not a multiple of the input dimension.
     pub fn predict_flat(&self, seq: &[f64]) -> Vec<f64> {
-        if naive_elementwise_mode() {
-            return self.forward_sequence(seq).1;
-        }
         // Inference takes `&self` (scoring fans out over shared
         // references), so it stages through a fresh local workspace.
         let mut ws = LstmWorkspace::default();
@@ -341,9 +257,6 @@ impl Lstm {
     /// Accumulate gradients for one `(sequence, target)` pair; returns the
     /// sample loss.
     fn backward_sequence(&mut self, seq: &[f64], target: &[f64]) -> f64 {
-        if naive_elementwise_mode() {
-            return self.backward_sequence_naive(seq, target);
-        }
         let mut ws = std::mem::take(&mut self.ws);
         let loss = self.backward_ws(seq, target, &mut ws);
         self.ws = ws;
@@ -352,8 +265,8 @@ impl Lstm {
 
     /// Fused-path gradient accumulation for one sample: every
     /// intermediate staged in `ws`, gradients accumulated through the
-    /// vectorized [`elemwise`] kernels. Bitwise identical to
-    /// [`Lstm::backward_sequence_naive`].
+    /// vectorized [`elemwise`] kernels. Bitwise identical to the tests'
+    /// allocating BPTT oracle.
     fn backward_ws(&mut self, seq: &[f64], target: &[f64], ws: &mut LstmWorkspace) -> f64 {
         let h_dim = self.hidden;
         let t_len = self.forward_ws(seq, ws);
@@ -415,77 +328,6 @@ impl Lstm {
             kernel::transpose_matvec_into(&self.wh.value, &ws.dz, &mut ws.dh);
         }
         obs::counter("train.workspace_bytes", ws.bytes() as u64);
-        loss
-    }
-
-    /// The historical allocating BPTT path, retained as the
-    /// `EXATHLON_NAIVE_ELEMENTWISE=1` reference.
-    fn backward_sequence_naive(&mut self, seq: &[f64], target: &[f64]) -> f64 {
-        let (caches, y) = self.forward_sequence(seq);
-        let h_dim = self.hidden;
-        let t_len = caches.len();
-        assert!(t_len > 0, "empty sequence");
-
-        let pred = Matrix::row_vector(&y);
-        let tgt = Matrix::row_vector(target);
-        let loss = mse(&pred, &tgt);
-        let dy: Vec<f64> = mse_grad(&pred, &tgt).as_slice().to_vec();
-
-        // Readout gradients.
-        let h_last = &caches[t_len - 1].h;
-        self.wy.grad += &Matrix::outer(&dy, h_last);
-        for (g, d) in self.by.grad.as_mut_slice().iter_mut().zip(&dy) {
-            *g += d;
-        }
-
-        // BPTT.
-        let mut dh = self.wy.value.transpose_matvec(&dy);
-        let mut dc = vec![0.0; h_dim];
-        for t in (0..t_len).rev() {
-            let cache = &caches[t];
-            let c_prev: Vec<f64> = if t == 0 { vec![0.0; h_dim] } else { caches[t - 1].c.clone() };
-            let h_prev: Vec<f64> = if t == 0 { vec![0.0; h_dim] } else { caches[t - 1].h.clone() };
-
-            // dL/dc += dL/dh * o * (1 - tanh(c)^2)
-            let mut dz = vec![0.0; GATES * h_dim];
-            for j in 0..h_dim {
-                let dtanh = 1.0 - cache.tanh_c[j] * cache.tanh_c[j];
-                let dcj = dc[j] + dh[j] * cache.o[j] * dtanh;
-                let di = dcj * cache.g[j];
-                let df = dcj * c_prev[j];
-                let do_ = dh[j] * cache.tanh_c[j];
-                let dg = dcj * cache.i[j];
-                // Through the gate nonlinearities.
-                dz[j] = di * cache.i[j] * (1.0 - cache.i[j]);
-                dz[h_dim + j] = df * cache.f[j] * (1.0 - cache.f[j]);
-                dz[2 * h_dim + j] = do_ * cache.o[j] * (1.0 - cache.o[j]);
-                dz[3 * h_dim + j] = dg * (1.0 - cache.g[j] * cache.g[j]);
-                // Carry to previous cell state.
-                dc[j] = dcj * cache.f[j];
-            }
-
-            // Parameter gradients.
-            self.wx.grad += &Matrix::outer(&dz, &cache.x);
-            self.wh.grad += &Matrix::outer(&dz, &h_prev);
-            for (g, d) in self.b.grad.as_mut_slice().iter_mut().zip(&dz) {
-                *g += d;
-            }
-            // Carry to previous hidden state.
-            dh = self.wh.value.transpose_matvec(&dz);
-        }
-        // Meter the dominant fresh allocations this historical path
-        // performs (flat copy + wxx + per-step caches, temporaries and
-        // outer-product gradient intermediates), so `EXATHLON_PROFILE=1`
-        // shows what the fused plane avoids.
-        let fwd = t_len * self.in_dim
-            + t_len * GATES * h_dim
-            + t_len * (17 * h_dim + self.in_dim)
-            + y.len();
-        let bwd = 3 * y.len()
-            + y.len() * h_dim
-            + h_dim
-            + t_len * (7 * h_dim + GATES * h_dim * (self.in_dim + h_dim));
-        obs::counter("train.alloc_bytes", (8 * (fwd + bwd)) as u64);
         loss
     }
 
@@ -586,7 +428,146 @@ impl Lstm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::{mse, mse_grad};
     use rand::SeedableRng;
+
+    /// Per-step forward cache of the textbook BPTT oracle.
+    struct StepCache {
+        x: Vec<f64>,
+        i: Vec<f64>,
+        f: Vec<f64>,
+        o: Vec<f64>,
+        g: Vec<f64>,
+        c: Vec<f64>,
+        tanh_c: Vec<f64>,
+        h: Vec<f64>,
+    }
+
+    impl Lstm {
+        /// Textbook forward pass: fresh vectors and one [`StepCache`] per
+        /// step.
+        fn forward_sequence(&self, seq: &[f64]) -> (Vec<StepCache>, Vec<f64>) {
+            let h_dim = self.hidden;
+            let t_len = self.steps_of(seq);
+            let mut h = vec![0.0; h_dim];
+            let mut c = vec![0.0; h_dim];
+            let mut caches = Vec::with_capacity(t_len);
+            // The input-side gate pre-activations have no recurrent
+            // dependency, so all steps go through one GEMM: row `t` of `wxx`
+            // is `Wx·x_t`, with the same products in the same order as the
+            // per-step matvec (bitwise-identical results). The flat buffer has
+            // exactly the row-major layout `from_rows` used to build, so the
+            // GEMM input — and everything downstream — is bitwise unchanged.
+            let wxx = if t_len == 0 {
+                Matrix::zeros(0, GATES * h_dim)
+            } else {
+                Matrix::from_vec(t_len, self.in_dim, seq.to_vec()).matmul_transpose(&self.wx.value)
+            };
+            for t in 0..t_len {
+                let x = &seq[t * self.in_dim..(t + 1) * self.in_dim];
+                // z = Wx x + Wh h + b
+                let zh = self.wh.value.matvec(&h);
+                let mut z = wxx.row(t).to_vec();
+                for (zi, (zhi, bi)) in z.iter_mut().zip(zh.iter().zip(self.b.value.as_slice())) {
+                    *zi += zhi + bi;
+                }
+                let mut i_g = vec![0.0; h_dim];
+                let mut f_g = vec![0.0; h_dim];
+                let mut o_g = vec![0.0; h_dim];
+                let mut g_g = vec![0.0; h_dim];
+                for j in 0..h_dim {
+                    i_g[j] = sigmoid(z[j]);
+                    f_g[j] = sigmoid(z[h_dim + j]);
+                    o_g[j] = sigmoid(z[2 * h_dim + j]);
+                    g_g[j] = z[3 * h_dim + j].tanh();
+                }
+                let mut new_c = vec![0.0; h_dim];
+                let mut tanh_c = vec![0.0; h_dim];
+                let mut new_h = vec![0.0; h_dim];
+                for j in 0..h_dim {
+                    new_c[j] = f_g[j] * c[j] + i_g[j] * g_g[j];
+                    tanh_c[j] = new_c[j].tanh();
+                    new_h[j] = o_g[j] * tanh_c[j];
+                }
+                caches.push(StepCache {
+                    x: x.to_vec(),
+                    i: i_g,
+                    f: f_g,
+                    o: o_g,
+                    g: g_g,
+                    c: new_c.clone(),
+                    tanh_c,
+                    h: new_h.clone(),
+                });
+                h = new_h;
+                c = new_c;
+            }
+            let mut y = self.wy.value.matvec(&h);
+            for (yi, bi) in y.iter_mut().zip(self.by.value.as_slice()) {
+                *yi += bi;
+            }
+            (caches, y)
+        }
+
+        /// Textbook allocating BPTT: the oracle of [`Lstm::backward_ws`].
+        fn backward_sequence_naive(&mut self, seq: &[f64], target: &[f64]) -> f64 {
+            let (caches, y) = self.forward_sequence(seq);
+            let h_dim = self.hidden;
+            let t_len = caches.len();
+            assert!(t_len > 0, "empty sequence");
+
+            let pred = Matrix::row_vector(&y);
+            let tgt = Matrix::row_vector(target);
+            let loss = mse(&pred, &tgt);
+            let dy: Vec<f64> = mse_grad(&pred, &tgt).as_slice().to_vec();
+
+            // Readout gradients.
+            let h_last = &caches[t_len - 1].h;
+            self.wy.grad += &Matrix::outer(&dy, h_last);
+            for (g, d) in self.by.grad.as_mut_slice().iter_mut().zip(&dy) {
+                *g += d;
+            }
+
+            // BPTT.
+            let mut dh = self.wy.value.transpose_matvec(&dy);
+            let mut dc = vec![0.0; h_dim];
+            for t in (0..t_len).rev() {
+                let cache = &caches[t];
+                let c_prev: Vec<f64> =
+                    if t == 0 { vec![0.0; h_dim] } else { caches[t - 1].c.clone() };
+                let h_prev: Vec<f64> =
+                    if t == 0 { vec![0.0; h_dim] } else { caches[t - 1].h.clone() };
+
+                // dL/dc += dL/dh * o * (1 - tanh(c)^2)
+                let mut dz = vec![0.0; GATES * h_dim];
+                for j in 0..h_dim {
+                    let dtanh = 1.0 - cache.tanh_c[j] * cache.tanh_c[j];
+                    let dcj = dc[j] + dh[j] * cache.o[j] * dtanh;
+                    let di = dcj * cache.g[j];
+                    let df = dcj * c_prev[j];
+                    let do_ = dh[j] * cache.tanh_c[j];
+                    let dg = dcj * cache.i[j];
+                    // Through the gate nonlinearities.
+                    dz[j] = di * cache.i[j] * (1.0 - cache.i[j]);
+                    dz[h_dim + j] = df * cache.f[j] * (1.0 - cache.f[j]);
+                    dz[2 * h_dim + j] = do_ * cache.o[j] * (1.0 - cache.o[j]);
+                    dz[3 * h_dim + j] = dg * (1.0 - cache.g[j] * cache.g[j]);
+                    // Carry to previous cell state.
+                    dc[j] = dcj * cache.f[j];
+                }
+
+                // Parameter gradients.
+                self.wx.grad += &Matrix::outer(&dz, &cache.x);
+                self.wh.grad += &Matrix::outer(&dz, &h_prev);
+                for (g, d) in self.b.grad.as_mut_slice().iter_mut().zip(&dz) {
+                    *g += d;
+                }
+                // Carry to previous hidden state.
+                dh = self.wh.value.transpose_matvec(&dz);
+            }
+            loss
+        }
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(21)
@@ -668,8 +649,8 @@ mod tests {
         }
     }
 
-    /// The fused workspace path must match the retained `StepCache`
-    /// reference bitwise: same loss, same accumulated gradients.
+    /// The fused workspace path must match the `StepCache` oracle
+    /// bitwise: same prediction, same loss, same accumulated gradients.
     #[test]
     fn fused_backward_matches_stepcache_reference_bitwise() {
         let mut fused = Lstm::new(2, 5, 2, &mut rng());
@@ -683,6 +664,11 @@ mod tests {
         let lb = reference.backward_sequence_naive(&seq, &target);
 
         assert_eq!(la.to_bits(), lb.to_bits());
+        let (ya, yb) = (fused.predict_flat(&seq), reference.forward_sequence(&seq).1);
+        assert_eq!(
+            ya.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            yb.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
         for (pa, pb) in fused.params_mut().into_iter().zip(reference.params_mut()) {
             let got: Vec<u64> = pa.grad.as_slice().iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = pb.grad.as_slice().iter().map(|v| v.to_bits()).collect();

@@ -6,10 +6,9 @@
 
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::loss::{mse, mse_grad, mse_grad_into};
+use crate::loss::{mse, mse_grad_into};
 use crate::optimizer::Optimizer;
 use crate::param::Param;
-use exathlon_linalg::elemwise::naive_elementwise_mode;
 use exathlon_linalg::{obs, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -222,18 +221,9 @@ impl Mlp {
         self.zero_grad();
         self.forward_cached(x);
         let mut lg = std::mem::take(&mut self.ws.loss_grad);
-        let loss = {
-            let pred = self.layers.last().expect("non-empty").output();
-            let loss = mse(pred, targets);
-            if naive_elementwise_mode() {
-                // Historical path: fresh gradient matrix per step.
-                lg = mse_grad(pred, targets);
-                obs::counter("train.alloc_bytes", (8 * lg.as_slice().len()) as u64);
-            } else {
-                mse_grad_into(pred, targets, &mut lg);
-            }
-            loss
-        };
+        let pred = self.layers.last().expect("non-empty").output();
+        let loss = mse(pred, targets);
+        mse_grad_into(pred, targets, &mut lg);
         let mut sink = std::mem::take(&mut self.ws.dx_sink);
         self.backward_into(&lg, &mut sink);
         self.ws.loss_grad = lg;

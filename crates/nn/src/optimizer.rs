@@ -5,7 +5,7 @@
 //! `&mut Param` without the optimizer tracking identity.
 
 use crate::param::Param;
-use exathlon_linalg::elemwise::{self, naive_elementwise_mode};
+use exathlon_linalg::elemwise;
 
 /// Optimizer configuration.
 #[derive(Debug, Clone, Copy)]
@@ -44,53 +44,28 @@ impl Optimizer {
     /// Adam bias correction).
     pub fn step(&self, params: &mut [&mut Param], t: u64) {
         assert!(t >= 1, "step count is 1-based");
-        let naive = naive_elementwise_mode();
         match *self {
             Optimizer::Sgd { lr } => {
                 for p in params.iter_mut() {
-                    if naive {
-                        // Historical path: clone the gradient, then axpy.
-                        let grad = p.grad.clone();
-                        p.value.add_scaled(&grad, -lr);
-                        exathlon_linalg::obs::counter(
-                            "train.alloc_bytes",
-                            (8 * grad.as_slice().len()) as u64,
-                        );
-                    } else {
-                        // Fused in-place update — same expression, no clone.
-                        elemwise::sgd_update(p.value.as_mut_slice(), p.grad.as_slice(), lr);
-                    }
+                    // Fused in-place update: `value += -lr * grad`, no clone.
+                    elemwise::sgd_update(p.value.as_mut_slice(), p.grad.as_slice(), lr);
                     p.zero_grad();
                 }
             }
             Optimizer::Adam { lr, beta1, beta2, eps } => {
                 for p in params.iter_mut() {
                     let Param { value, grad, m, v } = &mut **p;
-                    if naive {
-                        elemwise::naive_adam_update(
-                            value.as_mut_slice(),
-                            grad.as_slice(),
-                            m.as_mut_slice(),
-                            v.as_mut_slice(),
-                            lr,
-                            beta1,
-                            beta2,
-                            eps,
-                            t,
-                        );
-                    } else {
-                        elemwise::adam_update(
-                            value.as_mut_slice(),
-                            grad.as_slice(),
-                            m.as_mut_slice(),
-                            v.as_mut_slice(),
-                            lr,
-                            beta1,
-                            beta2,
-                            eps,
-                            t,
-                        );
-                    }
+                    elemwise::adam_update(
+                        value.as_mut_slice(),
+                        grad.as_slice(),
+                        m.as_mut_slice(),
+                        v.as_mut_slice(),
+                        lr,
+                        beta1,
+                        beta2,
+                        eps,
+                        t,
+                    );
                     p.zero_grad();
                 }
             }

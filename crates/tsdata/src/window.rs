@@ -6,23 +6,14 @@
 //! forecast target. The paper's outlier-score derivation (§5 step 3.ii)
 //! averages window scores back onto the records the window encloses —
 //! [`record_scores_from_windows`] implements exactly that.
+//!
+//! Windows are never copied out one by one: a [`WindowSet`] holds
+//! `(trace, start)` views, and batches are gathered straight from the
+//! series buffers into one matrix. The gathered bytes equal the owned
+//! rows [`flattened_windows`] returns, which the tests pin.
 
 use crate::sample::stride_indices;
 use crate::series::TimeSeries;
-
-/// Environment variable selecting the pre-dataplane materialized-window
-/// path (`EXATHLON_MATERIALIZED_WINDOWS=1`): every stride-1 window is
-/// copied into an owned row before batching, exactly as before the
-/// zero-copy data plane. Kept as an escape hatch and for the e2e
-/// equivalence test (`tests/dataplane_equivalence.rs`).
-pub const MATERIALIZED_WINDOWS_ENV: &str = "EXATHLON_MATERIALIZED_WINDOWS";
-
-/// True when the materialized-window escape hatch is requested. Re-read
-/// from the environment on every call (like the naive-kernel toggle) so
-/// tests can flip it at runtime.
-pub fn materialized_windows_mode() -> bool {
-    std::env::var(MATERIALIZED_WINDOWS_ENV).map(|v| v.trim() == "1").unwrap_or(false)
-}
 
 /// A set of fixed-size windows as `(trace, start)` views over the
 /// contiguous row-major buffers of one or more [`TimeSeries`] — no
@@ -166,8 +157,8 @@ impl<'a> WindowSet<'a> {
         }
     }
 
-    /// Materialize every window as an owned flattened row (the
-    /// pre-dataplane representation; used by the escape-hatch path).
+    /// Materialize every window as an owned flattened row: the reference
+    /// the gathered batches are tested against.
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         (0..self.len()).map(|i| self.window(i).to_vec()).collect()
     }

@@ -1,103 +1,60 @@
 //! End-to-end numerics contract of the zero-copy window data plane:
 //! running the full pipeline on view-based windows, gathered batches,
 //! and the fused transform chain produces *bitwise identical* results
-//! to the materialized escape hatch (`EXATHLON_MATERIALIZED_WINDOWS=1`),
-//! which re-enacts the pre-dataplane copy behaviour.
+//! to the materialized data plane it replaced, which copied every window
+//! into an owned row.
 //!
-//! Unlike the kernel equivalence test (which tolerates the Gram
-//! expansion's reassociation), the data plane only moves bytes: gathered
-//! batches are byte-identical to the old row materialization, so every
-//! score, threshold, and metric must match to the bit.
-//!
-//! The toggle is process-global, so the whole comparison lives in one
-//! test binary and the variable is restored before the test returns.
+//! The data plane only moves bytes, so every score, threshold, and metric
+//! must match to the bit. The materialized path no longer exists; its
+//! output is pinned by the golden digests, which it produced exactly for
+//! the window-batch consumers (AE fit/score batches, LSTM forecast pairs)
+//! and the record-view kNN reference set. The gathered batches themselves
+//! are also compared against owned-row materializations of the
+//! pipeline's own transformed traces.
 
+mod common;
+
+use exathlon_ad::scorer::window_batch;
 use exathlon_core::config::{AdMethod, ExperimentConfig};
-use exathlon_core::evaluate::evaluate_detection;
-use exathlon_core::experiment::{run_pipeline, PipelineRun};
-use exathlon_core::model::TrainingBudget;
+use exathlon_core::experiment::prepare;
 use exathlon_sparksim::dataset::DatasetBuilder;
-use exathlon_tsdata::window::MATERIALIZED_WINDOWS_ENV;
-use exathlon_tsmetrics::presets::AdLevel;
+use exathlon_tsdata::window::{flattened_windows, forecast_pairs, WindowSet};
 
 /// The window-batch consumers (AE fit/score batches, LSTM forecast
 /// pairs) plus the record-view kNN path as a reference-set consumer.
 const METHODS: [AdMethod; 3] = [AdMethod::Ae, AdMethod::Lstm, AdMethod::Knn];
 
-fn pipeline() -> PipelineRun {
-    let ds = DatasetBuilder::tiny(11).build();
-    let config = ExperimentConfig { resample_interval: 2, ..ExperimentConfig::default() };
-    run_pipeline(&ds, &config, &METHODS, TrainingBudget::Quick)
-}
+/// Window sizes the quick-budget pipeline reads: kNN's record views and
+/// the AE/LSTM window.
+const SIZES: [usize; 2] = [1, 6];
 
 #[test]
 fn pipeline_bitwise_identical_with_materialized_windows() {
-    // Zero-copy (default) run first, then the materialized re-enactment.
-    std::env::remove_var(MATERIALIZED_WINDOWS_ENV);
-    let zero_copy = pipeline();
-    std::env::set_var(MATERIALIZED_WINDOWS_ENV, "1");
-    let materialized = pipeline();
-    std::env::remove_var(MATERIALIZED_WINDOWS_ENV);
+    common::assert_golden(&METHODS);
 
-    for (method, zc_run) in &zero_copy.methods {
-        let mat_run = materialized.method_run(*method);
-
-        // Per-record scores: bitwise identical, not merely close.
-        assert_eq!(zc_run.scored.len(), mat_run.scored.len(), "{method:?}: test count");
-        for (a, b) in zc_run.scored.iter().zip(&mat_run.scored) {
-            assert_eq!(a.trace_id, b.trace_id, "{method:?}: trace order");
-            assert_eq!(a.labels, b.labels, "{method:?}: labels");
-            assert_eq!(a.scores.len(), b.scores.len(), "{method:?}: score count");
-            for (i, (x, y)) in a.scores.iter().zip(&b.scores).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{method:?} trace {} score {i}: zero-copy {x} vs materialized {y}",
-                    a.trace_id
+    let ds = DatasetBuilder::tiny(11).build();
+    let config = ExperimentConfig { resample_interval: 2, ..ExperimentConfig::default() };
+    let (_, train, tests) = prepare(&ds, &config);
+    let traces = train.iter().chain(tests.iter().map(|t| &t.series));
+    for (t, ts) in traces.enumerate() {
+        for size in SIZES.into_iter().filter(|&s| s < ts.len()) {
+            let batch = window_batch(&WindowSet::from_series(ts, size, 1));
+            let rows = flattened_windows(ts, size, 1);
+            assert_eq!(batch.rows(), rows.len(), "trace {t} size {size}: window count");
+            for (i, row) in rows.iter().enumerate() {
+                assert!(
+                    batch.row(i).iter().zip(row).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "trace {t} size {size}: window {i} differs from its materialized row"
                 );
             }
-        }
 
-        // Detection metrics: identical at every AD level and rule.
-        for level in AdLevel::ALL {
-            let from_zc = evaluate_detection(&zc_run.model, &zc_run.scored, level);
-            let from_mat = evaluate_detection(&mat_run.model, &mat_run.scored, level);
-            assert_eq!(from_zc.len(), from_mat.len(), "{method:?} {level:?}: rule count");
-            for (a, b) in from_zc.iter().zip(&from_mat) {
-                assert_eq!(a.rule, b.rule, "{method:?} {level:?}: rule order");
-                let ctx = format!("{method:?} {level:?} {}", a.rule);
-                assert_eq!(a.f1.to_bits(), b.f1.to_bits(), "{ctx}: f1 {} vs {}", a.f1, b.f1);
-                assert_eq!(
-                    a.precision.to_bits(),
-                    b.precision.to_bits(),
-                    "{ctx}: precision {} vs {}",
-                    a.precision,
-                    b.precision
-                );
-                assert_eq!(
-                    a.recall.to_bits(),
-                    b.recall.to_bits(),
-                    "{ctx}: recall {} vs {}",
-                    a.recall,
-                    b.recall
-                );
-                assert_eq!(a.per_type_recall, b.per_type_recall, "{ctx}: per-type recall");
+            let views = WindowSet::forecast_pooled(&[ts], size);
+            let pairs = forecast_pairs(ts, size, 1);
+            assert_eq!(views.len(), pairs.len(), "trace {t} size {size}: pair count");
+            for (i, (window, target)) in pairs.iter().enumerate() {
+                assert_eq!(views.window(i), window.as_slice(), "trace {t} size {size}: pair {i}");
+                assert_eq!(views.target(i), target.as_slice(), "trace {t} size {size}: target {i}");
             }
-        }
-
-        // Separation AUPRC rides the same scores, so it is bitwise too.
-        for (scope, a, b) in [
-            ("trace", &zc_run.separation.trace, &mat_run.separation.trace),
-            ("app", &zc_run.separation.app, &mat_run.separation.app),
-            ("global", &zc_run.separation.global, &mat_run.separation.global),
-        ] {
-            assert_eq!(
-                a.average.to_bits(),
-                b.average.to_bits(),
-                "{method:?} {scope} separation: zero-copy {} vs materialized {}",
-                a.average,
-                b.average
-            );
         }
     }
 }

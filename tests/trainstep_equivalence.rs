@@ -1,8 +1,7 @@
 //! End-to-end numerics contract of the fused training step: running the
 //! full pipeline with the SIMD elementwise kernels and reused training
-//! workspaces produces *bitwise identical* results to the naive escape
-//! hatch (`EXATHLON_NAIVE_ELEMENTWISE=1`), which re-enacts the
-//! pre-fusion clone-heavy training loop.
+//! workspaces produces *bitwise identical* results to the clone-heavy
+//! training loop they replaced.
 //!
 //! Every fused path is a pure expression rewrite — same accumulation
 //! order, mul-then-add (never FMA), correctly-rounded AVX2 lanes — so
@@ -11,104 +10,20 @@
 //! the dense forward/backward epilogues, BPTT, and the adversarial
 //! two-step respectively.
 //!
-//! The toggle is process-global, so the whole comparison lives in one
-//! test binary and the variable is restored before the test returns.
+//! The clone-heavy loop no longer ships; its output is pinned by the
+//! golden digests, which it produced exactly for these three models. The
+//! per-layer oracles live in the `exathlon-nn` unit tests.
 
-use exathlon_core::config::{AdMethod, ExperimentConfig};
-use exathlon_core::evaluate::evaluate_detection;
-use exathlon_core::experiment::{run_pipeline, PipelineRun};
-use exathlon_core::model::TrainingBudget;
-use exathlon_linalg::elemwise::NAIVE_ELEMENTWISE_ENV;
-use exathlon_sparksim::dataset::DatasetBuilder;
-use exathlon_tsmetrics::presets::AdLevel;
+mod common;
+
+use exathlon_core::config::AdMethod;
 
 /// The gradient-trained models: dense autoencoder (Dense/Mlp epilogues
 /// and Adam), LSTM forecaster (fused BPTT workspace), and BiGAN (the
 /// cached two-step adversarial batch).
 const METHODS: [AdMethod; 3] = [AdMethod::Ae, AdMethod::Lstm, AdMethod::BiGan];
 
-fn pipeline() -> PipelineRun {
-    let ds = DatasetBuilder::tiny(11).build();
-    let config = ExperimentConfig { resample_interval: 2, ..ExperimentConfig::default() };
-    run_pipeline(&ds, &config, &METHODS, TrainingBudget::Quick)
-}
-
 #[test]
 fn pipeline_bitwise_identical_with_naive_elementwise() {
-    // Fused (default) run first, then the naive re-enactment.
-    std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-    let fused = pipeline();
-    std::env::set_var(NAIVE_ELEMENTWISE_ENV, "1");
-    let naive = pipeline();
-    std::env::remove_var(NAIVE_ELEMENTWISE_ENV);
-
-    for (method, fused_run) in &fused.methods {
-        let naive_run = naive.method_run(*method);
-
-        // Per-record scores of the trained models: bitwise identical —
-        // any drift in a single weight update would show up here.
-        assert_eq!(fused_run.scored.len(), naive_run.scored.len(), "{method:?}: test count");
-        for (a, b) in fused_run.scored.iter().zip(&naive_run.scored) {
-            assert_eq!(a.trace_id, b.trace_id, "{method:?}: trace order");
-            assert_eq!(a.labels, b.labels, "{method:?}: labels");
-            assert_eq!(a.scores.len(), b.scores.len(), "{method:?}: score count");
-            for (i, (x, y)) in a.scores.iter().zip(&b.scores).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{method:?} trace {} score {i}: fused {x} vs naive {y}",
-                    a.trace_id
-                );
-            }
-        }
-
-        // Detection metrics: identical at every AD level and rule.
-        for level in AdLevel::ALL {
-            let from_fused = evaluate_detection(&fused_run.model, &fused_run.scored, level);
-            let from_naive = evaluate_detection(&naive_run.model, &naive_run.scored, level);
-            assert_eq!(from_fused.len(), from_naive.len(), "{method:?} {level:?}: rule count");
-            for (a, b) in from_fused.iter().zip(&from_naive) {
-                assert_eq!(a.rule, b.rule, "{method:?} {level:?}: rule order");
-                let ctx = format!("{method:?} {level:?} {}", a.rule);
-                assert_eq!(
-                    a.threshold.to_bits(),
-                    b.threshold.to_bits(),
-                    "{ctx}: threshold {} vs {}",
-                    a.threshold,
-                    b.threshold
-                );
-                assert_eq!(a.f1.to_bits(), b.f1.to_bits(), "{ctx}: f1 {} vs {}", a.f1, b.f1);
-                assert_eq!(
-                    a.precision.to_bits(),
-                    b.precision.to_bits(),
-                    "{ctx}: precision {} vs {}",
-                    a.precision,
-                    b.precision
-                );
-                assert_eq!(
-                    a.recall.to_bits(),
-                    b.recall.to_bits(),
-                    "{ctx}: recall {} vs {}",
-                    a.recall,
-                    b.recall
-                );
-                assert_eq!(a.per_type_recall, b.per_type_recall, "{ctx}: per-type recall");
-            }
-        }
-
-        // Separation AUPRC rides the same scores, so it is bitwise too.
-        for (scope, a, b) in [
-            ("trace", &fused_run.separation.trace, &naive_run.separation.trace),
-            ("app", &fused_run.separation.app, &naive_run.separation.app),
-            ("global", &fused_run.separation.global, &naive_run.separation.global),
-        ] {
-            assert_eq!(
-                a.average.to_bits(),
-                b.average.to_bits(),
-                "{method:?} {scope} separation: fused {} vs naive {}",
-                a.average,
-                b.average
-            );
-        }
-    }
+    common::assert_golden(&METHODS);
 }
