@@ -3,8 +3,8 @@
 //! LRU eviction churn), the allocation-free wire fast path (head and
 //! body parsing, response formatting), spill-tier file round-trips,
 //! and the router's consistent-hash ring (build cost per fleet size,
-//! per-request owner lookup) — without the HTTP layer; `load_gen`
-//! measures the end-to-end request path separately.
+//! per-request owner lookup) — without the HTTP layer; the perfbench
+//! serving workloads measure the end-to-end request path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use exathlon_core::checkpoint::ServingProfile;

@@ -140,7 +140,7 @@ pub struct GateStats {
 /// cumulative allocation count **before** [`Gatekeeper::bind`]; each
 /// worker then meters the probe delta across every single-record ingest
 /// request and accumulates it into [`GateStats::ingest_allocs`]. The
-/// warmed fast path holds that delta at zero (the CI allocation guard).
+/// warmed fast path holds that delta at zero (`tests/serving_gates.rs`).
 static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
 
 /// Install the worker allocation probe. Call before [`Gatekeeper::bind`];
@@ -1032,8 +1032,8 @@ mod tests {
 
     #[test]
     fn shutdown_joins_promptly_with_open_connections() {
-        // Multi-node tests (router e2e, load_gen cluster phases) start
-        // and stop several gatekeepers per process; shutdown must join
+        // Multi-node tests (router e2e, the serving gates) start and
+        // stop several gatekeepers per process; shutdown must join
         // the acceptor and every worker promptly even while keep-alive
         // connections are parked on the workers.
         let gk = Gatekeeper::bind("127.0.0.1:0", GatekeeperConfig::default()).unwrap();

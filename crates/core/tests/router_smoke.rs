@@ -5,12 +5,13 @@
 //! - every score through the router matches a local bitwise twin;
 //! - proxied error bodies are byte-identical to the backend's direct
 //!   response (the router forwards frames verbatim in both directions);
-//! - joining a third node mid-stream drains checkpoints over and every
-//!   tenant's score stream continues bitwise on its new owner;
+//! - joining a third node mid-stream drains checkpoints over, every
+//!   tenant's score stream continues bitwise on its new owner, and every
+//!   checkpoint read back through the router equals its twin's;
 //! - killing a backend yields typed `502`s immediately — never a hang —
 //!   and the fleet keeps serving the surviving node's keys;
-//! - saturation sheds with `503` + `Retry-After`, the contract the
-//!   load_gen client's backoff-retry loop relies on.
+//! - saturation sheds with `503` + `Retry-After`, and a shed request is
+//!   never applied: its retry scores bitwise what the twin gives.
 
 use exathlon_ad::stream::StreamingEwma;
 use exathlon_core::checkpoint::ServingProfile;
@@ -18,8 +19,11 @@ use exathlon_core::route::{Router, RouterConfig};
 use exathlon_core::serve::{Gatekeeper, GatekeeperConfig};
 use exathlon_core::wire::json_num;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
+use std::thread::Scope;
 use std::time::Duration;
 
 fn profile() -> ServingProfile {
@@ -46,6 +50,16 @@ fn call(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8
     let head = String::from_utf8_lossy(&raw[..split]).to_string();
     let status: u16 = head.split_whitespace().nth(1).unwrap().parse().unwrap();
     (status, raw[split..].to_vec(), head)
+}
+
+/// The `retry-after` seconds of a response head.
+fn retry_after(head: &str) -> u64 {
+    head.lines()
+        .find_map(|l| l.strip_prefix("retry-after: "))
+        .expect("503 must carry retry-after")
+        .trim()
+        .parse()
+        .unwrap()
 }
 
 fn score_of(body: &[u8]) -> f64 {
@@ -84,7 +98,7 @@ fn two_node_fleet_is_bitwise_and_survives_rebalance_and_node_death() {
         for (name, twin) in &mut twins {
             let rec = [round as f64 * 0.7 - 1.0, (round as f64).sin(), 0.25];
             let (want, _) = twin.ingest(&rec);
-            let body = format!("{{\"record\":[{},{},{}]}}", rec[0], rec[1], rec[2]);
+            let body = ingest_body(&rec);
             let (status, resp, _) =
                 call(addr, "POST", &format!("/v1/ingest/spark/{name}"), body.as_bytes());
             assert_eq!(status, 200, "{name}: {}", String::from_utf8_lossy(&resp));
@@ -136,7 +150,7 @@ fn two_node_fleet_is_bitwise_and_survives_rebalance_and_node_death() {
         for (name, twin) in &mut twins {
             let rec = [0.1 * round as f64, -0.3, (round as f64).cos()];
             let (want, _) = twin.ingest(&rec);
-            let body = format!("{{\"record\":[{},{},{}]}}", rec[0], rec[1], rec[2]);
+            let body = ingest_body(&rec);
             let (status, resp, _) =
                 call(addr, "POST", &format!("/v1/ingest/spark/{name}"), body.as_bytes());
             assert_eq!(status, 200, "{name} after rebalance");
@@ -148,6 +162,13 @@ fn two_node_fleet_is_bitwise_and_survives_rebalance_and_node_death() {
         }
     }
     assert!(gk_c.stats().resident_profiles > 0, "node-c must host its captured keys");
+    // Migrated or not, every checkpoint read through the router is its
+    // twin's image, byte for byte.
+    for (name, twin) in &twins {
+        let (status, image, _) = call(addr, "GET", &format!("/v1/checkpoint/spark/{name}"), b"");
+        assert_eq!(status, 200, "{name}: checkpoint after the node-c join");
+        assert_eq!(image, twin.to_bytes(), "{name}: checkpoint diverged after the node-c join");
+    }
 
     // --- Phase 4: kill node-c without draining. Its keys answer typed
     // 502s (never hangs); keys on surviving nodes keep scoring.
@@ -176,24 +197,151 @@ fn two_node_fleet_is_bitwise_and_survives_rebalance_and_node_death() {
 #[test]
 fn saturation_sheds_with_retry_after_contract() {
     // max_inflight 0 makes every keyed request shed — the point is the
-    // response contract (503 + retry-after + JSON body), which the
-    // load_gen retry loop parses.
+    // response contract: 503 + retry-after + JSON body.
     let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
     let config = RouterConfig { max_inflight_per_backend: 0, ..RouterConfig::default() };
     let rt = Router::bind("127.0.0.1:0", &[("n", dead)], config).unwrap();
     let (status, body, head) = call(rt.local_addr(), "POST", "/v1/ingest/a/b", b"{\"record\":[1]}");
     assert_eq!(status, 503);
-    let retry_after: u64 = head
-        .lines()
-        .find_map(|l| l.strip_prefix("retry-after: "))
-        .expect("503 must carry retry-after")
-        .trim()
-        .parse()
-        .unwrap();
-    assert!(retry_after >= 1);
+    assert!(retry_after(&head) >= 1);
     assert_eq!(body, b"{\"error\":\"backend saturated\"}");
     assert_eq!(rt.stats().shed, 1);
     rt.shutdown();
+}
+
+/// A test-only TCP relay between the router and one backend. While it is
+/// held, request bytes reach the relay but not the backend: the router's
+/// exchange stays in flight, as behind a stalled backend, until the test
+/// releases it. Responses flow back untouched.
+#[derive(Default)]
+struct Relay {
+    /// Whether the relay is held, and the request chunks read so far.
+    state: Mutex<(bool, u64)>,
+    cv: Condvar,
+    stop: AtomicBool,
+}
+
+impl Relay {
+    /// Accept the router's upstream connections until [`StopRelay`],
+    /// with one pump thread per direction and connection.
+    fn run<'s>(&'s self, scope: &'s Scope<'s, '_>, listener: TcpListener, backend: SocketAddr) {
+        for down in listener.incoming() {
+            if self.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let down = down.unwrap();
+            let up = TcpStream::connect(backend).unwrap();
+            let (mut up_r, mut down_w) = (up.try_clone().unwrap(), down.try_clone().unwrap());
+            scope.spawn(move || {
+                let _ = std::io::copy(&mut up_r, &mut down_w);
+                let _ = down_w.shutdown(Shutdown::Write);
+            });
+            scope.spawn(move || self.pump(down, up));
+        }
+    }
+
+    /// Copy router → backend, parking every chunk while the relay is held.
+    fn pump(&self, mut from: TcpStream, mut to: TcpStream) {
+        let mut buf = vec![0u8; 64 << 10];
+        while let Ok(n @ 1..) = from.read(&mut buf) {
+            let mut state = self.state.lock().unwrap();
+            state.1 += 1;
+            self.cv.notify_all();
+            drop(self.cv.wait_while(state, |s| s.0).unwrap());
+            if to.write_all(&buf[..n]).is_err() {
+                break;
+            }
+        }
+        let _ = to.shutdown(Shutdown::Write);
+    }
+
+    fn set_held(&self, held: bool) {
+        self.state.lock().unwrap().0 = held;
+        self.cv.notify_all();
+    }
+
+    fn seen(&self) -> u64 {
+        self.state.lock().unwrap().1
+    }
+
+    /// Block until the relay has read `n` request chunks in total.
+    fn wait_seen(&self, n: u64) {
+        let state = self.state.lock().unwrap();
+        let timeout = Duration::from_secs(10);
+        let (state, _) = self.cv.wait_timeout_while(state, timeout, |s| s.1 < n).unwrap();
+        let seen = state.1;
+        drop(state);
+        assert!(seen >= n, "the relay never saw the request");
+    }
+}
+
+/// Releases the relay and ends [`Relay::run`] when dropped, also when a
+/// failed assertion unwinds, so the scope joining the relay's threads
+/// cannot hang: the wake-up connection finds the stop flag set.
+struct StopRelay<'a>(&'a Relay, SocketAddr);
+
+impl Drop for StopRelay<'_> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::SeqCst);
+        self.0.state.lock().unwrap_or_else(|e| e.into_inner()).0 = false;
+        self.0.cv.notify_all();
+        drop(TcpStream::connect(self.1));
+    }
+}
+
+fn ingest_body(rec: &[f64; 3]) -> String {
+    format!("{{\"record\":[{},{},{}]}}", rec[0], rec[1], rec[2])
+}
+
+#[test]
+fn shed_request_is_never_applied_and_its_retry_scores_bitwise() {
+    // One in-flight slot, held by a stalled exchange: the shed is certain.
+    let gk = Gatekeeper::bind("127.0.0.1:0", gk_config(None)).unwrap();
+    let (relay, listener) = (Relay::default(), TcpListener::bind("127.0.0.1:0").unwrap());
+    let relay_addr = listener.local_addr().unwrap();
+    let config = RouterConfig { max_inflight_per_backend: 1, ..RouterConfig::default() };
+    let rt = Router::bind("127.0.0.1:0", &[("n", relay_addr)], config).unwrap();
+    let addr = rt.local_addr();
+    let ingest =
+        |rec: &[f64; 3]| call(addr, "POST", "/v1/ingest/spark/held", ingest_body(rec).as_bytes());
+    let mut twin = profile();
+    let (first, second) = ([0.5, -1.0, 2.0], [1.5, 0.25, -0.75]);
+    std::thread::scope(|scope| {
+        let relay = &relay;
+        let backend = gk.local_addr();
+        scope.spawn(move || relay.run(scope, listener, backend));
+        let _stop = StopRelay(relay, relay_addr);
+        let (status, _, _) = call(addr, "PUT", "/v1/profile/spark/held", &twin.to_bytes());
+        assert_eq!(status, 200);
+
+        let seen = relay.seen();
+        relay.set_held(true);
+        let held = scope.spawn(|| ingest(&first));
+        relay.wait_seen(seen + 1);
+        // The stalled exchange holds the slot: the next request is shed.
+        let (status, body, head) = ingest(&second);
+        assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
+        assert!(retry_after(&head) >= 1);
+        assert_eq!(body, b"{\"error\":\"backend saturated\"}");
+        relay.set_held(false);
+        let (status, body, _) = held.join().unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        let (want, _) = twin.ingest(&first);
+        assert_eq!(score_of(&body).to_bits(), want.to_bits(), "stalled request diverged");
+        assert_eq!(rt.stats().shed, 1);
+
+        // The retry scores as if the shed request had never arrived, and
+        // the checkpoint holds exactly the twin's two records.
+        let (status, body, _) = ingest(&second);
+        assert_eq!(status, 200);
+        let (want, _) = twin.ingest(&second);
+        assert_eq!(score_of(&body).to_bits(), want.to_bits(), "retry after a shed diverged");
+        let (status, image, _) = call(addr, "GET", "/v1/checkpoint/spark/held", b"");
+        assert_eq!(status, 200);
+        assert_eq!(image, twin.to_bytes(), "a shed request must leave no trace");
+        rt.shutdown();
+        gk.shutdown();
+    });
 }
 
 #[test]

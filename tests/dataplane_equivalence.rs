@@ -12,7 +12,9 @@
 //! are also compared against owned-row materializations of the
 //! pipeline's own transformed traces.
 
-mod common;
+mod common {
+    pub mod golden;
+}
 
 use exathlon_ad::scorer::window_batch;
 use exathlon_core::config::{AdMethod, ExperimentConfig};
@@ -30,7 +32,7 @@ const SIZES: [usize; 2] = [1, 6];
 
 #[test]
 fn pipeline_bitwise_identical_with_materialized_windows() {
-    common::assert_golden(&METHODS);
+    common::golden::assert_golden(&METHODS);
 
     let ds = DatasetBuilder::tiny(11).build();
     let config = ExperimentConfig { resample_interval: 2, ..ExperimentConfig::default() };

@@ -6,100 +6,21 @@
 //! twin — then download the checkpoint and confirm it equals the twin's
 //! snapshot byte for byte. CI runs this as part of tier-1.
 
+mod common {
+    pub mod serving;
+}
+
+use common::serving::{fitted, prepared, record_body, score_of, Client, Tenant};
 use exathlon_core::checkpoint::ServingProfile;
-use exathlon_core::config::{ExperimentConfig, StreamMethod};
-use exathlon_core::experiment::prepare;
-use exathlon_core::model::TrainingBudget;
-use exathlon_core::replay::{build_servable, stream_seed};
+use exathlon_core::config::StreamMethod;
 use exathlon_core::serve::{Gatekeeper, GatekeeperConfig};
-use exathlon_sparksim::dataset::DatasetBuilder;
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-
-/// Minimal HTTP/1.1 client: one keep-alive connection, sequential
-/// request/response.
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect to gatekeeper");
-        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-        Self { stream, reader }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: smoke\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes()).expect("write head");
-        self.stream.write_all(body).expect("write body");
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line).expect("read status line");
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .unwrap_or_else(|| panic!("bad status line {status_line:?}"))
-            .parse()
-            .expect("numeric status");
-        let mut content_length = 0usize;
-        loop {
-            let mut header = String::new();
-            self.reader.read_line(&mut header).expect("read header");
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().expect("numeric content-length");
-                }
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).expect("read body");
-        (status, body)
-    }
-}
-
-fn json_record(record: &[f64]) -> String {
-    let mut out = String::from("{\"record\":[");
-    for (i, x) in record.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if x.is_finite() {
-            out.push_str(&format!("{x}"));
-        } else {
-            out.push_str("null");
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-fn score_of(body: &[u8]) -> f64 {
-    let v =
-        serde_json::parse_value(std::str::from_utf8(body).expect("UTF-8 body")).expect("JSON body");
-    match v.get("score").expect("score field") {
-        Value::Int(i) => *i as f64,
-        Value::Null => f64::NAN,
-        Value::Float(f) => *f,
-        other => panic!("score was {other:?}"),
-    }
-}
 
 #[test]
 fn served_scores_match_local_twin_bitwise() {
     // The replay driver's own data path: simulate, partition, transform.
-    let ds = DatasetBuilder::tiny(11).build();
-    let config = ExperimentConfig::default();
-    let (_transform, train, tests) = prepare(&ds, &config);
-    let test = &tests.iter().max_by_key(|t| t.series.len()).expect("no test traces").series;
+    let (train, tests) = prepared();
+    let test = tests.iter().max_by_key(|t| t.len()).expect("no test traces");
     let n = test.len().min(60);
 
     let gk =
@@ -108,52 +29,28 @@ fn served_scores_match_local_twin_bitwise() {
     let mut client = Client::connect(addr);
 
     for (entity, method) in [("exec-ewma", StreamMethod::Ewma), ("exec-knn", StreamMethod::Knn)] {
-        let detector = build_servable(
-            method,
-            &train,
-            config.threshold_holdout,
-            TrainingBudget::Quick,
-            stream_seed(config.seed, method),
-        );
-        let mut local = ServingProfile::new(detector, 1.0);
-        let path = format!("/v1/profile/spark-app/{entity}");
-        let (status, _) = client.request("PUT", &path, &local.to_bytes());
-        assert_eq!(status, 200, "{method:?}: profile upload failed");
+        // Stream the trace; every served score must equal the local twin,
+        // and the downloaded checkpoint is the advanced state, byte for byte.
+        let mut tenant =
+            Tenant::install(&mut client, entity, fitted(method, &train), test[..n].to_vec());
+        tenant.ingest(&mut client, n);
+        tenant.audit(&mut client);
 
-        // Stream the trace; every served score must equal the local twin.
-        for i in 0..n {
-            let record = test.record(i);
-            let (want, _) = local.ingest(record);
-            let body = json_record(record);
-            let (status, resp) =
-                client.request("POST", &format!("/v1/ingest/spark-app/{entity}"), body.as_bytes());
-            assert_eq!(status, 200, "{method:?}: ingest {i} failed");
-            let got = score_of(&resp);
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "{method:?}: served score diverged at record {i}: {got} vs {want}"
-            );
-        }
-
-        // The downloaded checkpoint is the advanced state, byte for byte.
-        let (status, image) =
-            client.request("GET", &format!("/v1/checkpoint/spark-app/{entity}"), b"");
-        assert_eq!(status, 200, "{method:?}: checkpoint download failed");
-        assert_eq!(image, local.to_bytes(), "{method:?}: checkpoint image diverged");
-
-        // And it restores to a profile that keeps agreeing.
-        let mut restored = ServingProfile::from_bytes(&image).expect("restore checkpoint");
-        for i in n..test.len().min(n + 10) {
-            let (a, _) = local.ingest(test.record(i));
-            let (b, _) = restored.ingest(test.record(i));
+        // And that image, the twin's byte for byte, restores to a
+        // profile that keeps agreeing.
+        let local = &mut tenant.twin;
+        let mut restored =
+            ServingProfile::from_bytes(&local.to_bytes()).expect("restore checkpoint");
+        for (i, record) in test.iter().enumerate().take(n + 10).skip(n) {
+            let (a, _) = local.ingest(record);
+            let (b, _) = restored.ingest(record);
             assert_eq!(a.to_bits(), b.to_bits(), "{method:?}: restored twin diverged at {i}");
         }
     }
 
     let (status, body) = client.request("GET", "/v1/stats", b"");
     assert_eq!(status, 200);
-    let v = serde_json::parse_value(std::str::from_utf8(&body).unwrap()).unwrap();
+    let v = serde_json::parse_value(std::str::from_utf8(body).unwrap()).unwrap();
     assert_eq!(v.get("insertions"), Some(&Value::Int(2)), "stats: {v:?}");
     assert_eq!(v.get("resident_profiles"), Some(&Value::Int(2)));
 
@@ -194,14 +91,15 @@ fn concurrent_same_entity_ingest_serializes() {
                     (0..PER_CLIENT)
                         .map(|i| {
                             let record = vec![c as f64 + 1.0, i as f64 * 0.25 - c as f64];
-                            let body = json_record(&record);
+                            let mut body = String::new();
+                            record_body(&mut body, &record);
                             let (status, resp) = client.request(
                                 "POST",
                                 "/v1/ingest/spark-app/shared-exec",
                                 body.as_bytes(),
                             );
                             assert_eq!(status, 200, "client {c} ingest {i} failed");
-                            (record, score_of(&resp).to_bits())
+                            (record, score_of(resp).to_bits())
                         })
                         .collect::<Vec<_>>()
                 })
@@ -244,7 +142,7 @@ fn concurrent_same_entity_ingest_serializes() {
     }
     let mut pos = vec![0usize; CLIENTS];
     assert!(
-        search(&profile, &streams, &mut pos, &image),
+        search(&profile, &streams, &mut pos, image),
         "no sequential interleaving of the clients' requests explains the served \
          score stream and final checkpoint"
     );

@@ -1,5 +1,5 @@
 //! Golden output digests of the batch AD pipeline for every pinned
-//! method (see [`common`] for what each digest folds).
+//! method (see [`common::golden`] for what each digest folds).
 //!
 //! The pipeline runs once. The constants are a property of the numerics,
 //! not of the host: they hold with any `EXATHLON_THREADS` and under
@@ -8,12 +8,14 @@
 //! score or metric fails here; on mismatch the test prints every computed
 //! digest so an intended numerics change can update the table in one go.
 
-mod common;
+mod common {
+    pub mod golden;
+}
 
 use exathlon_core::config::AdMethod;
 
 #[test]
 fn pipeline_and_replay_match_golden_digests() {
-    let methods: Vec<AdMethod> = common::GOLDEN.iter().map(|&(m, _)| m).collect();
-    common::assert_golden(&methods);
+    let methods: Vec<AdMethod> = common::golden::GOLDEN.iter().map(|&(m, _)| m).collect();
+    common::golden::assert_golden(&methods);
 }

@@ -14,7 +14,9 @@
 //! golden digests, which it produced exactly for these three models. The
 //! per-layer oracles live in the `exathlon-nn` unit tests.
 
-mod common;
+mod common {
+    pub mod golden;
+}
 
 use exathlon_core::config::AdMethod;
 
@@ -25,5 +27,5 @@ const METHODS: [AdMethod; 3] = [AdMethod::Ae, AdMethod::Lstm, AdMethod::BiGan];
 
 #[test]
 fn pipeline_bitwise_identical_with_naive_elementwise() {
-    common::assert_golden(&METHODS);
+    common::golden::assert_golden(&METHODS);
 }
