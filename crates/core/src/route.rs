@@ -57,20 +57,22 @@
 //! ## Checkpoint-driven rebalance
 //!
 //! [`Router::add_backend`] / [`Router::remove_backend`] install the new
-//! ring *first* (swap-then-migrate), then drain every tracked key whose
-//! owner changed: `GET /v1/checkpoint` from the old owner, `PUT
-//! /v1/profile` to the new one, `DELETE` on the old. Checkpoints are
-//! bitwise-lossless EXCK images ([`crate::checkpoint`]), so a migrated
-//! entity's scores continue bitwise on its new node. Installing the ring
-//! before migrating means a just-moved key can see a transient `404` on
-//! its new owner until its image lands — visible and retryable — rather
-//! than the silent lost updates of migrate-then-swap (a write landing on
-//! the old owner after its checkpoint was copied would vanish). Keys are
-//! tracked from proxied traffic: a `200` to `PUT /v1/profile` records
-//! the key, a `200` to `DELETE` forgets it; profiles installed directly
-//! on a backend (bypassing the router) are served fine but not migrated.
-//! Per-key outcomes are typed in a [`RebalanceReport`] — a dead old
-//! owner fails that key's migration loudly, it does not wedge the ring.
+//! ring *first* (swap-then-migrate). Then every old backend lists the
+//! keys it holds, resident and spilled (`GET /v1/keys`), and each key it
+//! owned under the old ring but not the new one drains over:
+//! `GET /v1/checkpoint` from it, `PUT /v1/profile` to the new owner,
+//! `DELETE` on it. Checkpoints are bitwise-lossless EXCK images
+//! ([`crate::checkpoint`]), so a migrated entity's scores continue
+//! bitwise on its new node. Installing the ring first means a just-moved
+//! key can see a transient `404` on its new owner until its image lands
+//! — visible and retryable — rather than the silent lost updates of
+//! migrate-then-swap, and its old owner gets no traffic for it while it
+//! lists. The nodes are the only record of their keys and the router
+//! keeps no per-tenant state, so a router restart or a profile put on a
+//! node directly loses nothing; a stray copy on a node that did not own
+//! the key is never moved. Outcomes are typed in a [`RebalanceReport`]:
+//! a dead old owner fails its listing or a key's migration loudly, it
+//! does not wedge the ring.
 
 use crate::checkpoint::is_image;
 use crate::net::{fill_in, flush_out, Conn, Handler, Poll, Poller, Server};
@@ -78,7 +80,6 @@ use crate::registry::key_hash;
 use crate::serve::alloc_probe;
 use crate::wire::{self, HeadParse};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -231,8 +232,6 @@ pub struct RouterStats {
     pub upstream_errors: u64,
     /// Exchanges retried once after dying on a stale pooled connection.
     pub retries: u64,
-    /// Keys currently tracked for rebalance.
-    pub tracked_keys: u64,
     /// Ring changes performed.
     pub rebalances: u64,
     /// Keys migrated across backends by rebalances.
@@ -244,11 +243,11 @@ pub struct RouterStats {
     pub proxy_allocs: u64,
 }
 
-/// What happened to each tracked key when the ring changed.
+/// What happened to each listed key when the ring changed.
 #[derive(Debug, Default)]
 pub struct RebalanceReport {
-    /// Tracked keys examined.
-    pub tracked: usize,
+    /// Keys the old backends listed (`GET /v1/keys`), summed over nodes.
+    pub listed: usize,
     /// Keys whose checkpoint moved to a new owner, bitwise.
     pub moved: Vec<(String, String)>,
     /// Keys that changed owner but had no profile on the old one.
@@ -257,6 +256,9 @@ pub struct RebalanceReport {
     /// ring change stands regardless; these keys answer 404 on their new
     /// owner until re-PUT or a later successful rebalance.
     pub failed: Vec<(String, String, String)>,
+    /// Old backends whose key list could not be read: `(label, typed
+    /// error)`. None of their keys moved; the ring change stands.
+    pub unlisted: Vec<(String, String)>,
 }
 
 #[derive(Debug)]
@@ -290,10 +292,6 @@ struct RouterShared {
     /// Bumped (after installing into `state`) on every ring change;
     /// workers poll it and refresh their lock-free local ring copy.
     generation: AtomicU64,
-    /// Keys seen on proxied `PUT /v1/profile` 200s — the rebalance
-    /// work-list. Hash → parts (the parts re-derive paths; collisions
-    /// are last-write-wins, same odds as a registry bucket collision).
-    keys: Mutex<HashMap<u64, (String, String)>>,
     stats: RouterCounters,
 }
 
@@ -307,7 +305,6 @@ impl RouterShared {
             shed: s.shed.load(Ordering::Relaxed),
             upstream_errors: s.upstream_errors.load(Ordering::Relaxed),
             retries: s.retries.load(Ordering::Relaxed),
-            tracked_keys: self.keys.lock().len() as u64,
             rebalances: s.rebalances.load(Ordering::Relaxed),
             migrated: s.migrated.load(Ordering::Relaxed),
             proxy_requests: s.proxy_requests.load(Ordering::Relaxed),
@@ -368,7 +365,6 @@ impl Router {
         let shared = Arc::new(RouterShared {
             state: Mutex::new(RingState { ring, backends: nodes }),
             generation: AtomicU64::new(1),
-            keys: Mutex::new(HashMap::new()),
             stats: RouterCounters::default(),
         });
         let cfg = WorkerCfg {
@@ -394,7 +390,6 @@ impl Router {
             let shared = Arc::clone(&shared);
             move || {
                 shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                crate::obs::counter("route.rejected", 1);
             }
         };
         let server = Server::spawn(
@@ -424,8 +419,8 @@ impl Router {
     }
 
     /// Add a backend and rebalance: the new ring is installed first
-    /// (traffic immediately routes by it), then every tracked key whose
-    /// owner changed is drained old → new via its checkpoint image.
+    /// (traffic immediately routes by it), then every key whose owner
+    /// changed is drained old → new via its checkpoint image.
     pub fn add_backend(&self, label: &str, addr: SocketAddr) -> std::io::Result<RebalanceReport> {
         if label.is_empty() {
             return Err(invalid_input("backend labels must be non-empty"));
@@ -475,7 +470,7 @@ impl Router {
         Ok(self.migrate(&old_ring, &old_backends, &new_ring, &new_backends))
     }
 
-    /// Drain every tracked key whose owner changed between two rings.
+    /// Drain every listed key whose owner changed between two rings.
     fn migrate(
         &self,
         old_ring: &Ring,
@@ -484,31 +479,34 @@ impl Router {
         new_backends: &[Arc<BackendNode>],
     ) -> RebalanceReport {
         self.shared.stats.rebalances.fetch_add(1, Ordering::Relaxed);
-        crate::obs::counter("route.rebalances", 1);
-        let snapshot: Vec<(u64, String, String)> = self
-            .shared
-            .keys
-            .lock()
-            .iter()
-            .map(|(&h, (app, entity))| (h, app.clone(), entity.clone()))
-            .collect();
-        let mut report = RebalanceReport { tracked: snapshot.len(), ..Default::default() };
-        for (hash, app, entity) in snapshot {
-            let (Some(o), Some(n)) = (old_ring.owner_of(hash), new_ring.owner_of(hash)) else {
-                continue;
-            };
-            let (from, to) = (&old_backends[o as usize], &new_backends[n as usize]);
-            if from.label == to.label {
-                continue;
-            }
-            match migrate_key(&app, &entity, from, to) {
-                Ok(true) => {
-                    self.shared.stats.migrated.fetch_add(1, Ordering::Relaxed);
-                    crate::obs::counter("route.migrated", 1);
-                    report.moved.push((app, entity));
+        let mut report = RebalanceReport::default();
+        for (at, from) in old_backends.iter().enumerate() {
+            let keys = match list_keys(from) {
+                Ok(keys) => keys,
+                Err(e) => {
+                    report.unlisted.push((from.label.clone(), e));
+                    continue;
                 }
-                Ok(false) => report.absent += 1,
-                Err(e) => report.failed.push((app, entity, e)),
+            };
+            report.listed += keys.len();
+            for (app, entity) in keys {
+                let hash = key_hash(&app, &entity);
+                let Some(to) = new_ring.owner_of(hash).map(|n| &new_backends[n as usize]) else {
+                    continue;
+                };
+                // Only the old owner's copy moves: a stray copy elsewhere
+                // must never overwrite the live tenant.
+                if old_ring.owner_of(hash) != Some(at as u16) || to.label == from.label {
+                    continue;
+                }
+                match migrate_key(&app, &entity, from, to) {
+                    Ok(true) => {
+                        self.shared.stats.migrated.fetch_add(1, Ordering::Relaxed);
+                        report.moved.push((app, entity));
+                    }
+                    Ok(false) => report.absent += 1,
+                    Err(e) => report.failed.push((app, entity, e)),
+                }
             }
         }
         report
@@ -562,6 +560,21 @@ fn http_once(
     }
 }
 
+/// The keys a backend holds, from its `GET /v1/keys`
+/// (`{"keys":[[app,entity],...]}`).
+fn list_keys(node: &BackendNode) -> Result<Vec<(String, String)>, String> {
+    let fail = |e: &dyn std::fmt::Display| format!("listing keys on {} failed ({e})", node.label);
+    let (status, body) = http_once(node.addr, "GET", "/v1/keys", b"").map_err(|e| fail(&e))?;
+    let pair = |key: &serde_json::Value| match key.as_array()? {
+        [app, entity] => Some((app.as_str()?.to_string(), entity.as_str()?.to_string())),
+        _ => None,
+    };
+    let text = std::str::from_utf8(&body).ok().filter(|_| status == 200);
+    let doc = text.and_then(|text| serde_json::parse_value(text).ok());
+    let keys = doc.and_then(|doc| doc.get("keys")?.as_array()?.iter().map(pair).collect());
+    keys.ok_or_else(|| fail(&format!("status {status}, no key list")))
+}
+
 /// Move one key's checkpoint `from` → `to`. `Ok(true)` moved, `Ok(false)`
 /// absent on the old owner, `Err` a typed failure.
 fn migrate_key(
@@ -608,21 +621,10 @@ struct Upstream {
     buf: Vec<u8>,
 }
 
-/// Where a completed proxied exchange reports to the key table.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Track {
-    None,
-    /// `PUT /v1/profile` — a 200 records the key for rebalance.
-    Insert,
-    /// `DELETE /v1/profile` — a 200 forgets it.
-    Remove,
-}
-
 /// The parsed frame of the upstream response.
 #[derive(Clone, Copy)]
 struct RespHead {
     total: usize,
-    status: u16,
     keep_alive: bool,
 }
 
@@ -657,11 +659,6 @@ struct Inflight {
     /// On the allocation-metered hot path (single-record ingest).
     metered: bool,
     allocs: u64,
-    hash: u64,
-    /// Path span in the client inbuf (stable: the request starts at 0
-    /// and nothing is drained while it is in flight).
-    path: (usize, usize),
-    track: Track,
     client_keep_alive: bool,
 }
 
@@ -779,7 +776,7 @@ impl Handler for RouteWorker {
 
 impl RouteWorker {
     /// Drive the in-flight exchange: forward request bytes, accumulate the
-    /// response, relay it, then finalize (pooling, key tracking, counters).
+    /// response, relay it, then finalize (pooling, counters).
     /// Handles the stale-pool retry and upstream timeout.
     fn service_inflight(&mut self, conn: &mut ClientConn, poller: &Poller, now: Instant) -> Poll {
         let probe = self.probe;
@@ -788,7 +785,7 @@ impl RouteWorker {
         loop {
             let metered = f.metered;
             let allocs_before = if metered { probe.map(|p| p()).unwrap_or(0) } else { 0 };
-            let outcome = drive(&mut conn.stream, &conn.inbuf, f, now);
+            let outcome = drive(&mut conn.stream, &conn.inbuf, f);
             if metered {
                 if let Some(p) = probe {
                     f.allocs += p() - allocs_before;
@@ -827,7 +824,6 @@ impl RouteWorker {
                                 // allocation meter.
                                 f.metered = false;
                                 self.shared.stats.retries.fetch_add(1, Ordering::Relaxed);
-                                crate::obs::counter("route.retries", 1);
                                 continue;
                             }
                             Err(_) => {
@@ -881,7 +877,8 @@ impl RouteWorker {
                 HeadParse::Partial => break,
                 HeadParse::Hangup => return Poll::Closed,
                 HeadParse::Bad(status, msg) => {
-                    stage_local_error(&mut self.scratch, &mut conn.outbuf, status, msg, false);
+                    let (out, body) = (&mut conn.outbuf, &mut self.scratch.body);
+                    wire::write_error_response(out, body, status, msg, false);
                     conn.close_after_flush = true;
                     consumed = conn.inbuf.len();
                     progressed = true;
@@ -889,8 +886,8 @@ impl RouteWorker {
                 }
                 HeadParse::Complete(head) => {
                     if head.content_length > self.cfg.max_body_bytes {
-                        let scratch = &mut self.scratch;
-                        stage_local_error(scratch, &mut conn.outbuf, 413, "body too large", false);
+                        let (out, body) = (&mut conn.outbuf, &mut self.scratch.body);
+                        wire::write_error_response(out, body, 413, "body too large", false);
                         conn.close_after_flush = true;
                         consumed = conn.inbuf.len();
                         progressed = true;
@@ -946,9 +943,10 @@ impl RouteWorker {
     ) {
         let (shared, scratch) = (&self.shared, &mut self.scratch);
         let total = head.head_len + head.content_length;
-        let Some((hash, owner)) = plan_proxy(&conn.inbuf, &head, &self.ring) else {
+        let Some(owner) = plan_proxy(&conn.inbuf, &head, &self.ring) else {
             // Raced a ring change down to zero backends; nothing owns keys.
-            stage_local_error(scratch, &mut conn.outbuf, 502, "no backends", head.keep_alive);
+            let (out, body) = (&mut conn.outbuf, &mut scratch.body);
+            wire::write_error_response(out, body, 502, "no backends", head.keep_alive);
             shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
             conn.inbuf.drain(..total);
             if !head.keep_alive {
@@ -971,7 +969,6 @@ impl RouteWorker {
             );
             conn.outbuf.extend_from_slice(scratch.body.as_bytes());
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            crate::obs::counter("route.shed", 1);
             conn.inbuf.drain(..total);
             if !head.keep_alive {
                 conn.close_after_flush = true;
@@ -986,14 +983,9 @@ impl RouteWorker {
                 Ok(stream) => (Upstream { stream, buf: vec![0u8; UPSTREAM_BUF] }, false),
                 Err(_) => {
                     shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-                    crate::obs::counter("route.upstream_errors", 1);
-                    stage_local_error(
-                        scratch,
-                        &mut conn.outbuf,
-                        502,
-                        "upstream unavailable",
-                        head.keep_alive,
-                    );
+                    let (out, body) = (&mut conn.outbuf, &mut scratch.body);
+                    let msg = "upstream unavailable";
+                    wire::write_error_response(out, body, 502, msg, head.keep_alive);
                     conn.inbuf.drain(..total);
                     if !head.keep_alive {
                         conn.close_after_flush = true;
@@ -1004,11 +996,6 @@ impl RouteWorker {
         };
         let method = &conn.inbuf[head.method.0..head.method.1];
         let path = &conn.inbuf[head.path.0..head.path.1];
-        let track = match method {
-            b"PUT" if path.starts_with(b"/v1/profile/") => Track::Insert,
-            b"DELETE" if path.starts_with(b"/v1/profile/") => Track::Remove,
-            _ => Track::None,
-        };
         // Only pooled exchanges are metered: a pool miss pays a cold
         // connect + buffer setup, which is lazy warmup, not the warmed
         // path whose allocation count the meter pins.
@@ -1028,9 +1015,6 @@ impl RouteWorker {
             retried: false,
             metered,
             allocs: 0,
-            hash,
-            path: head.path,
-            track,
             client_keep_alive: head.keep_alive,
         });
     }
@@ -1051,8 +1035,7 @@ enum Drive {
 /// One nonblocking push of the exchange state machine. No allocation on
 /// the warmed path: request bytes go client-inbuf → upstream socket,
 /// response bytes kernel → `f.buf` → client socket.
-fn drive(client: &mut TcpStream, inbuf: &[u8], f: &mut Inflight, now: Instant) -> Drive {
-    let _ = now;
+fn drive(client: &mut TcpStream, inbuf: &[u8], f: &mut Inflight) -> Drive {
     // Forward the request frame verbatim.
     while f.req_sent < f.req_total {
         match f.upstream.write(&inbuf[f.req_sent..f.req_total]) {
@@ -1068,12 +1051,11 @@ fn drive(client: &mut TcpStream, inbuf: &[u8], f: &mut Inflight, now: Instant) -
         if f.head.is_none() && f.resp_len > 0 {
             match wire::parse_head(&f.buf[..f.resp_len], MAX_HEAD_BYTES) {
                 HeadParse::Complete(h) => {
-                    let Some(status) = response_status(&f.buf[..f.resp_len], h.path) else {
+                    if response_status(&f.buf[..f.resp_len], h.path).is_none() {
                         return Drive::UpstreamGone;
-                    };
+                    }
                     f.head = Some(RespHead {
                         total: h.head_len + h.content_length,
-                        status,
                         keep_alive: h.keep_alive,
                     });
                 }
@@ -1126,35 +1108,14 @@ fn response_status(buf: &[u8], span: (usize, usize)) -> Option<u16> {
 }
 
 /// A completed exchange: free the backend slot, pool the upstream if it
-/// stayed clean and keep-alive, apply key tracking, bump counters, drop
-/// the request frame from the client buffer.
+/// stayed clean and keep-alive, bump counters, drop the request frame
+/// from the client buffer.
 fn finish_exchange(conn: &mut ClientConn, shared: &RouterShared, pools: &mut Pools, f: Inflight) {
     let head = f.head.expect("done implies framed");
     shared.stats.proxied.fetch_add(1, Ordering::Relaxed);
-    crate::obs::counter("route.proxied", 1);
     if f.metered {
         shared.stats.proxy_requests.fetch_add(1, Ordering::Relaxed);
         shared.stats.proxy_allocs.fetch_add(f.allocs, Ordering::Relaxed);
-    }
-    if head.status == 200 && f.track != Track::None {
-        // Cold path (profile PUT/DELETE): re-split the path for the key
-        // parts; the span is still valid because nothing was drained
-        // while the exchange was in flight.
-        let path = std::str::from_utf8(&conn.inbuf[f.path.0..f.path.1]).unwrap_or_default();
-        let clean = path.split('?').next().unwrap_or("");
-        let mut segs = clean.split('/').filter(|s| !s.is_empty()).skip(2);
-        if let (Some(app), Some(entity)) = (segs.next(), segs.next()) {
-            let mut keys = shared.keys.lock();
-            match f.track {
-                Track::Insert => {
-                    keys.insert(f.hash, (app.to_string(), entity.to_string()));
-                }
-                Track::Remove => {
-                    keys.remove(&f.hash);
-                }
-                Track::None => {}
-            }
-        }
     }
     if head.keep_alive && f.resp_len == head.total {
         let bucket = pools.bucket(f.slot.0.addr);
@@ -1178,7 +1139,6 @@ fn fail_exchange(
     msg: &str,
 ) {
     shared.stats.upstream_errors.fetch_add(1, Ordering::Relaxed);
-    crate::obs::counter("route.upstream_errors", 1);
     if f.relayed > 0 {
         // Part of a response already reached the client; the only honest
         // move is to cut the connection rather than splice a 502 into a
@@ -1187,16 +1147,7 @@ fn fail_exchange(
         conn.close_after_flush = true;
         return;
     }
-    scratch.body.clear();
-    wire::write_error_body(&mut scratch.body, msg);
-    wire::write_head(
-        &mut conn.outbuf,
-        502,
-        "application/json",
-        scratch.body.len(),
-        f.client_keep_alive,
-    );
-    conn.outbuf.extend_from_slice(scratch.body.as_bytes());
+    wire::write_error_response(&mut conn.outbuf, &mut scratch.body, 502, msg, f.client_keep_alive);
     conn.inbuf.drain(..f.req_total);
     if !f.client_keep_alive {
         conn.close_after_flush = true;
@@ -1216,7 +1167,7 @@ fn connect_upstream(addr: SocketAddr, poller: &Poller) -> std::io::Result<TcpStr
 /// The owning backend for a keyed path, or `None` when the request is
 /// router-local. Every `/v1/{route}/{app}/{entity}` shape forwards — the
 /// backend owns route validation, so its 404 wording passes through.
-fn plan_proxy(buf: &[u8], head: &wire::Head, ring: &Ring) -> Option<(u64, u16)> {
+fn plan_proxy(buf: &[u8], head: &wire::Head, ring: &Ring) -> Option<u16> {
     let path = std::str::from_utf8(&buf[head.path.0..head.path.1]).unwrap_or_default();
     let clean = path.split('?').next().unwrap_or("");
     let mut segs = clean.split('/').filter(|s| !s.is_empty());
@@ -1229,8 +1180,7 @@ fn plan_proxy(buf: &[u8], head: &wire::Head, ring: &Ring) -> Option<(u64, u16)> 
     if segs.next().is_some() {
         return None;
     }
-    let hash = key_hash(app, entity);
-    Some((hash, ring.owner_of(hash)?))
+    ring.owner_of(key_hash(app, entity))
 }
 
 /// Router-local routes: healthz, router stats, and 404s for anything
@@ -1243,7 +1193,6 @@ fn handle_local(
     head: &wire::Head,
 ) {
     shared.stats.local.fetch_add(1, Ordering::Relaxed);
-    crate::obs::counter("route.local", 1);
     let method = std::str::from_utf8(&buf[head.method.0..head.method.1]).unwrap_or_default();
     let path = std::str::from_utf8(&buf[head.path.0..head.path.1]).unwrap_or_default();
     let clean = path.split('?').next().unwrap_or("");
@@ -1258,15 +1207,14 @@ fn handle_local(
             let _ = write!(
                 scratch.body,
                 "{{\"proxied\":{},\"local\":{},\"rejected\":{},\"shed\":{},\
-                 \"upstream_errors\":{},\"retries\":{},\"tracked_keys\":{},\"rebalances\":{},\
-                 \"migrated\":{},\"proxy_requests\":{},\"proxy_allocs\":{}}}",
+                 \"upstream_errors\":{},\"retries\":{},\"rebalances\":{},\"migrated\":{},\
+                 \"proxy_requests\":{},\"proxy_allocs\":{}}}",
                 s.proxied,
                 s.local,
                 s.rejected,
                 s.shed,
                 s.upstream_errors,
                 s.retries,
-                s.tracked_keys,
                 s.rebalances,
                 s.migrated,
                 s.proxy_requests,
@@ -1280,20 +1228,6 @@ fn handle_local(
         }
     };
     wire::write_head(out, status, "application/json", scratch.body.len(), head.keep_alive);
-    out.extend_from_slice(scratch.body.as_bytes());
-}
-
-/// A local error response staged straight to the connection's outbuf.
-fn stage_local_error(
-    scratch: &mut Scratch,
-    out: &mut Vec<u8>,
-    status: u16,
-    message: &str,
-    keep_alive: bool,
-) {
-    scratch.body.clear();
-    wire::write_error_body(&mut scratch.body, message);
-    wire::write_head(out, status, "application/json", scratch.body.len(), keep_alive);
     out.extend_from_slice(scratch.body.as_bytes());
 }
 
@@ -1418,7 +1352,7 @@ mod tests {
         let (status, body, _) = call(addr, "GET", "/v1/stats", b"");
         assert_eq!(status, 200);
         let text = String::from_utf8(body).unwrap();
-        for field in ["proxied", "shed", "upstream_errors", "tracked_keys", "proxy_allocs"] {
+        for field in ["proxied", "shed", "upstream_errors", "migrated", "proxy_allocs"] {
             assert!(text.contains(&format!("\"{field}\"")), "{text}");
         }
         let (status, _, _) = call(addr, "GET", "/nope", b"");
@@ -1455,8 +1389,23 @@ mod tests {
         rt.shutdown();
     }
 
+    /// The union of the nodes' `GET /v1/keys` lists, as entity names.
+    fn listed_entities(nodes: &[&Gatekeeper]) -> Vec<String> {
+        let mut all = Vec::new();
+        for node in nodes {
+            let (status, body, _) = call(node.local_addr(), "GET", "/v1/keys", b"");
+            assert_eq!(status, 200);
+            let doc = serde_json::parse_value(std::str::from_utf8(&body).unwrap()).unwrap();
+            for key in doc.get("keys").unwrap().as_array().unwrap() {
+                all.push(key.as_array().unwrap()[1].as_str().unwrap().to_string());
+            }
+        }
+        all.sort();
+        all
+    }
+
     #[test]
-    fn proxies_bitwise_and_tracks_keys_across_two_nodes() {
+    fn proxies_bitwise_and_nodes_list_keys_across_two_nodes() {
         let gk_a = Gatekeeper::bind("127.0.0.1:0", GatekeeperConfig::default()).unwrap();
         let gk_b = Gatekeeper::bind("127.0.0.1:0", GatekeeperConfig::default()).unwrap();
         let rt = Router::bind(
@@ -1476,7 +1425,8 @@ mod tests {
                 call(addr, "PUT", &format!("/v1/profile/app/{name}"), &twin.to_bytes());
             assert_eq!(status, 200);
         }
-        assert_eq!(rt.stats().tracked_keys, 6, "proxied PUT 200s must be tracked");
+        let names: Vec<String> = twins.iter().map(|(name, _)| name.clone()).collect();
+        assert_eq!(listed_entities(&[&gk_a, &gk_b]), names, "each node lists what it holds");
         for round in 0..4 {
             for (name, twin) in &mut twins {
                 let rec = [round as f64 * 0.5, -(round as f64)];
@@ -1494,10 +1444,10 @@ mod tests {
         assert!(gk_a.stats().resident_profiles > 0, "node-a hosts nothing");
         assert!(gk_b.stats().resident_profiles > 0, "node-b hosts nothing");
 
-        // DELETE through the router untracks.
+        // A DELETE through the router drops the key from its node's list.
         let (status, _, _) = call(addr, "DELETE", "/v1/profile/app/tenant-0", b"");
         assert_eq!(status, 200);
-        assert_eq!(rt.stats().tracked_keys, 5);
+        assert_eq!(listed_entities(&[&gk_a, &gk_b]), names[1..]);
         // Proxied 404 body is byte-identical to the backend's.
         let (status, body, _) =
             call(addr, "POST", "/v1/ingest/app/tenant-0", b"{\"record\":[1,2]}");
@@ -1535,7 +1485,8 @@ mod tests {
 
         // Join node-b: ~half the keys drain over, image by image.
         let report = rt.add_backend("node-b", gk_b.local_addr()).unwrap();
-        assert_eq!(report.tracked, 8);
+        assert_eq!(report.listed, 8);
+        assert!(report.unlisted.is_empty(), "{:?}", report.unlisted);
         assert!(report.failed.is_empty(), "{:?}", report.failed);
         assert!(!report.moved.is_empty(), "some keys must move to the new node");
         assert!(gk_b.stats().resident_profiles > 0, "moved images must land on node-b");
@@ -1571,6 +1522,38 @@ mod tests {
         rt.shutdown();
         gk_a.shutdown();
         gk_b.shutdown();
+    }
+
+    #[test]
+    fn removing_a_dead_node_is_a_typed_listing_error() {
+        let gk_a = Gatekeeper::bind("127.0.0.1:0", GatekeeperConfig::default()).unwrap();
+        let gk_b = Gatekeeper::bind("127.0.0.1:0", GatekeeperConfig::default()).unwrap();
+        let rt = Router::bind(
+            "127.0.0.1:0",
+            &[("node-a", gk_a.local_addr()), ("node-b", gk_b.local_addr())],
+            RouterConfig::default(),
+        )
+        .unwrap();
+        let addr = rt.local_addr();
+        for i in 0..6 {
+            let path = format!("/v1/profile/app/e{i}");
+            assert_eq!(call(addr, "PUT", &path, &profile().to_bytes()).0, 200);
+        }
+        let on_a = gk_a.stats().resident_profiles;
+        gk_b.shutdown();
+
+        let t0 = Instant::now();
+        let report = rt.remove_backend("node-b").unwrap();
+        assert!(t0.elapsed() < MIGRATE_TIMEOUT, "listing a dead node took {:?}", t0.elapsed());
+        assert_eq!(report.unlisted.len(), 1, "{report:?}");
+        assert_eq!(report.unlisted[0].0, "node-b");
+        assert!(report.unlisted[0].1.contains("listing keys on node-b failed"), "{report:?}");
+        assert_eq!(report.listed, on_a);
+        assert!(report.moved.is_empty() && report.failed.is_empty(), "{report:?}");
+        // The ring change stands: node-a now owns every key.
+        assert_eq!(rt.backends(), vec![("node-a".to_string(), gk_a.local_addr())]);
+        rt.shutdown();
+        gk_a.shutdown();
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! | `POST` | `/v1/ingest/{app}/{entity}` | `{"record":[...]}` | `{"score":s,"anomaly":b}` |
 //! | `POST` | `/v1/score/{app}/{entity}` | `{"records":[[...],...]}` | `{"scores":[...],"anomalies":[...]}` |
 //! | `DELETE` | `/v1/profile/{app}/{entity}` | — | `{"removed":b}` |
+//! | `GET` | `/v1/keys` | — | `{"keys":[[app,entity],...]}`, resident and spilled |
 //! | `GET` | `/v1/stats` | — | registry + gatekeeper counters |
 //! | `GET` | `/v1/healthz` | — | `{"ok":true}` |
 //!
@@ -217,7 +218,6 @@ impl Shared {
         for (key, profile) in victims {
             if spill.spill(&key.app, &key.entity, profile, scratch).is_ok() {
                 self.gate.spills.fetch_add(1, Ordering::Relaxed);
-                crate::obs::counter("serve.spills", 1);
             }
         }
     }
@@ -238,7 +238,6 @@ impl Shared {
         self.spill_victims(&victims, scratch);
         let _ = spill.remove(app, entity);
         self.gate.restores.fetch_add(1, Ordering::Relaxed);
-        crate::obs::counter("serve.restores", 1);
         true
     }
 }
@@ -281,7 +280,6 @@ impl Gatekeeper {
             let shared = Arc::clone(&shared);
             move || {
                 shared.gate.rejected.fetch_add(1, Ordering::Relaxed);
-                crate::obs::counter("serve.rejected", 1);
             }
         };
         let server = Server::spawn(
@@ -394,7 +392,8 @@ impl Handler for GateWorker {
                     HeadParse::Partial => break,
                     HeadParse::Hangup => return Poll::Closed,
                     HeadParse::Bad(status, msg) => {
-                        stage_error_response(scratch, &mut conn.outbuf, status, msg);
+                        let (out, body) = (&mut conn.outbuf, &mut scratch.body);
+                        wire::write_error_response(out, body, status, msg, false);
                         conn.close_after_flush = true;
                         consumed = conn.inbuf.len();
                         progressed = true;
@@ -402,7 +401,8 @@ impl Handler for GateWorker {
                     }
                     HeadParse::Complete(head) => {
                         if head.content_length > shared.max_body_bytes {
-                            stage_error_response(scratch, &mut conn.outbuf, 413, "body too large");
+                            let (out, body) = (&mut conn.outbuf, &mut scratch.body);
+                            wire::write_error_response(out, body, 413, "body too large", false);
                             conn.close_after_flush = true;
                             consumed = conn.inbuf.len();
                             progressed = true;
@@ -471,15 +471,6 @@ fn stage_error(scratch: &mut Scratch, status: u16, message: &str) -> Reply {
     Reply::Json(status)
 }
 
-/// Serialize an error straight to a connection's output buffer (protocol
-/// errors that bypass routing). Always closes, mirroring the old server.
-fn stage_error_response(scratch: &mut Scratch, out: &mut Vec<u8>, status: u16, message: &str) {
-    scratch.body.clear();
-    wire::write_error_body(&mut scratch.body, message);
-    wire::write_head(out, status, "application/json", scratch.body.len(), false);
-    out.extend_from_slice(scratch.body.as_bytes());
-}
-
 #[allow(clippy::too_many_arguments)]
 fn handle(
     shared: &Shared,
@@ -491,8 +482,6 @@ fn handle(
     out: &mut Vec<u8>,
     probe: Option<fn() -> u64>,
 ) {
-    crate::obs::counter("serve.requests", 1);
-    crate::obs::counter("serve.bytes_in", body.len() as u64);
     let clean = path.split('?').next().unwrap_or("");
     // The single-record ingest route is the allocation-metered hot path.
     let metered = probe.is_some() && method == "POST" && clean.starts_with("/v1/ingest/");
@@ -520,6 +509,7 @@ fn handle(
                 Reply::Json(200)
             }
             ("GET", ["v1", "stats"]) => stats_reply(shared, scratch),
+            ("GET", ["v1", "keys"]) => list_keys(shared, scratch),
             // Keyed routes hash the key exactly once; the hash picks the
             // shard and feeds the registry's bucket lookup.
             ("PUT", ["v1", "profile", app, entity]) => {
@@ -542,12 +532,10 @@ fn handle(
     };
     match reply {
         Reply::Json(status) => {
-            crate::obs::counter("serve.bytes_out", scratch.body.len() as u64);
             wire::write_head(out, status, "application/json", scratch.body.len(), keep_alive);
             out.extend_from_slice(scratch.body.as_bytes());
         }
         Reply::Octets(bytes) => {
-            crate::obs::counter("serve.bytes_out", bytes.len() as u64);
             wire::write_head(out, 200, "application/octet-stream", bytes.len(), keep_alive);
             out.extend_from_slice(&bytes);
         }
@@ -582,6 +570,37 @@ fn stats_reply(shared: &Shared, scratch: &mut Scratch) -> Reply {
         g.ingest_requests,
         g.ingest_allocs,
     );
+    Reply::Json(200)
+}
+
+/// Every key this node holds, resident or spilled, once each. Registries
+/// are read before the spill dir, so a key evicted in between is still
+/// found; rebalance lists a node only once the new ring routes the keys
+/// it moves elsewhere, so none of those is restored in between.
+fn list_keys(shared: &Shared, scratch: &mut Scratch) -> Reply {
+    let mut keys: Vec<EntityKey> =
+        shared.shards.iter().flat_map(|shard| shard.lock().keys_mru()).collect();
+    if let Some(spill) = &shared.spill {
+        match spill.keys() {
+            Ok(spilled) => keys.extend(spilled),
+            Err(e) => return stage_error(scratch, 500, &format!("spill dir unreadable: {e}")),
+        }
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    scratch.body.clear();
+    scratch.body.push_str("{\"keys\":[");
+    for (i, key) in keys.iter().enumerate() {
+        if i > 0 {
+            scratch.body.push(',');
+        }
+        scratch.body.push('[');
+        serde::write_json_string(&mut scratch.body, &key.app);
+        scratch.body.push(',');
+        serde::write_json_string(&mut scratch.body, &key.entity);
+        scratch.body.push(']');
+    }
+    scratch.body.push_str("]}");
     Reply::Json(200)
 }
 
@@ -721,7 +740,6 @@ fn ingest(
     match verdict {
         Err((status, msg)) => stage_error(scratch, status, msg),
         Ok(()) => {
-            crate::obs::counter("serve.ingest_records", scratch.row_ends.len() as u64);
             // Response formatting happens after the shard lock dropped.
             scratch.body.clear();
             if batch {
@@ -1026,6 +1044,58 @@ mod tests {
         // DELETE removes both the resident profile and any spill image.
         assert_eq!(call(addr, "DELETE", "/v1/profile/app/a", b"").0, 200);
         assert_eq!(call(addr, "POST", "/v1/ingest/app/a", b"{\"record\":[1,1]}").0, 404);
+        gk.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `GET /v1/keys` as `(app, entity)` pairs, in response order.
+    fn listed(addr: SocketAddr) -> Vec<(String, String)> {
+        let (status, body) = call(addr, "GET", "/v1/keys", b"");
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        let v = serde_json::parse_value(std::str::from_utf8(&body).unwrap()).unwrap();
+        let pair = |k: &Value| {
+            let k = k.as_array().unwrap();
+            (k[0].as_str().unwrap().to_string(), k[1].as_str().unwrap().to_string())
+        };
+        v.get("keys").unwrap().as_array().unwrap().iter().map(pair).collect()
+    }
+
+    #[test]
+    fn keys_lists_resident_and_spilled_keys_once() {
+        let dir = std::env::temp_dir().join(format!("exathlon-gk-keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = GatekeeperConfig {
+            shards: 1,
+            budget_bytes_per_shard: 1, // only the last PUT stays resident
+            spill_dir: Some(dir.clone()),
+            ..GatekeeperConfig::default()
+        };
+        let gk = Gatekeeper::bind("127.0.0.1:0", config).unwrap();
+        let addr = gk.local_addr();
+        // Hostile names round-trip through the path, the registry, the
+        // spill file names and the JSON list.
+        let keys = [("q\"uote", "back\\slash"), ("pct%41", "\u{e9}-\u{fc}"), ("app", "plain")];
+        for (app, entity) in keys {
+            let path = format!("/v1/profile/{app}/{entity}");
+            assert_eq!(call(addr, "PUT", &path, &profile().to_bytes()).0, 200);
+        }
+        assert_eq!(gk.stats().resident_profiles, 1);
+        assert_eq!(gk.gate_stats().spills, 2);
+        // A stale image of the resident key, an image still being written
+        // and a file that is not an image name.
+        let spill = SpillDir::create(&dir).unwrap();
+        spill.spill("app", "plain", &profile(), &mut ByteWriter::new()).unwrap();
+        std::fs::write(spill.file_path("app", "torn").with_extension("tmp"), b"half").unwrap();
+        std::fs::write(dir.join("zz-not-hex.exck"), b"").unwrap();
+        let mut want: Vec<(String, String)> =
+            keys.iter().map(|(a, e)| (a.to_string(), e.to_string())).collect();
+        want.sort();
+        assert_eq!(listed(addr), want);
+        // DELETE drops a key, spilled or resident.
+        for (app, entity) in [keys[0], keys[2]] {
+            assert_eq!(call(addr, "DELETE", &format!("/v1/profile/{app}/{entity}"), b"").0, 200);
+        }
+        assert_eq!(listed(addr), [(keys[1].0.to_string(), keys[1].1.to_string())]);
         gk.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -29,6 +29,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::ServingProfile;
+use crate::registry::EntityKey;
 use exathlon_linalg::codec::ByteWriter;
 
 /// A directory holding spilled profile images.
@@ -127,6 +128,17 @@ impl SpillDir {
             Err(e) => Err(e),
         }
     }
+
+    /// Every key with an image here, decoded from the file names. Images
+    /// still being written (`.tmp`) and names that are not a hex-encoded
+    /// key are skipped.
+    pub fn keys(&self) -> io::Result<Vec<EntityKey>> {
+        let mut keys = Vec::new();
+        for entry in std::fs::read_dir(&self.dir)? {
+            keys.extend(entry?.file_name().to_str().and_then(key_of));
+        }
+        Ok(keys)
+    }
 }
 
 fn push_hex(out: &mut String, bytes: &[u8]) {
@@ -135,6 +147,23 @@ fn push_hex(out: &mut String, bytes: &[u8]) {
         out.push(HEX[(b >> 4) as usize] as char);
         out.push(HEX[(b & 0xf) as usize] as char);
     }
+}
+
+/// The key an image file name encodes (see [`SpillDir::file_path`]).
+fn key_of(name: &str) -> Option<EntityKey> {
+    let (app, entity) = name.strip_suffix(".exck")?.split_once('-')?;
+    Some(EntityKey::new(from_hex(app)?, from_hex(entity)?))
+}
+
+/// The inverse of [`push_hex`]: `None` unless `hex` is non-empty hex
+/// pairs spelling UTF-8.
+fn from_hex(hex: &str) -> Option<String> {
+    if hex.is_empty() || !hex.len().is_multiple_of(2) {
+        return None;
+    }
+    let nibble = |c: u8| (c as char).to_digit(16);
+    let bytes = hex.as_bytes().chunks(2).map(|p| Some((nibble(p[0])? << 4 | nibble(p[1])?) as u8));
+    String::from_utf8(bytes.collect::<Option<_>>()?).ok()
 }
 
 #[cfg(test)]

@@ -444,6 +444,22 @@ pub fn write_error_body(body: &mut String, message: &str) {
     body.push('}');
 }
 
+/// A complete `{"error":"..."}` response appended to `out`, its body
+/// staged in the reused `body` buffer. Both tiers answer their own errors
+/// through it, so the bytes are the same at every tier.
+pub fn write_error_response(
+    out: &mut Vec<u8>,
+    body: &mut String,
+    status: u16,
+    message: &str,
+    keep_alive: bool,
+) {
+    body.clear();
+    write_error_body(body, message);
+    write_head(out, status, "application/json", body.len(), keep_alive);
+    out.extend_from_slice(body.as_bytes());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,6 +8,10 @@
 //! - joining a third node mid-stream drains checkpoints over, every
 //!   tenant's score stream continues bitwise on its new owner, and every
 //!   checkpoint read back through the router equals its twin's;
+//! - rebalance lists keys from the nodes, so it moves exactly the keys
+//!   the new node captures even after a router restart, for a profile
+//!   put on a node directly, and for a tenant that lives only in a
+//!   spill file;
 //! - killing a backend yields typed `502`s immediately — never a hang —
 //!   and the fleet keeps serving the surviving node's keys;
 //! - saturation sheds with `503` + `Retry-After`, and a shed request is
@@ -15,8 +19,9 @@
 
 use exathlon_ad::stream::StreamingEwma;
 use exathlon_core::checkpoint::ServingProfile;
-use exathlon_core::route::{Router, RouterConfig};
+use exathlon_core::route::{RebalanceReport, Ring, Router, RouterConfig};
 use exathlon_core::serve::{Gatekeeper, GatekeeperConfig};
+use exathlon_core::spill::SpillDir;
 use exathlon_core::wire::json_num;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -87,27 +92,10 @@ fn two_node_fleet_is_bitwise_and_survives_rebalance_and_node_death() {
     let addr = rt.local_addr();
 
     // --- Phase 1: install tenants and verify bitwise against twins.
-    let mut twins: Vec<(String, ServingProfile)> =
-        (0..10).map(|i| (format!("run-{i}"), profile())).collect();
-    for (name, twin) in &twins {
-        let (status, _, _) =
-            call(addr, "PUT", &format!("/v1/profile/spark/{name}"), &twin.to_bytes());
-        assert_eq!(status, 200, "install {name}");
-    }
+    let mut twins = tenants(10);
+    install(addr, &twins);
     for round in 0..6 {
-        for (name, twin) in &mut twins {
-            let rec = [round as f64 * 0.7 - 1.0, (round as f64).sin(), 0.25];
-            let (want, _) = twin.ingest(&rec);
-            let body = ingest_body(&rec);
-            let (status, resp, _) =
-                call(addr, "POST", &format!("/v1/ingest/spark/{name}"), body.as_bytes());
-            assert_eq!(status, 200, "{name}: {}", String::from_utf8_lossy(&resp));
-            assert_eq!(
-                score_of(&resp).to_bits(),
-                want.to_bits(),
-                "{name} diverged from the single-node twin at round {round}"
-            );
-        }
+        ingest_round(addr, &mut twins, round);
     }
     // The ring actually spread the tenants: both nodes host some.
     assert!(gk_a.stats().resident_profiles > 0, "node-a hosts nothing");
@@ -138,7 +126,9 @@ fn two_node_fleet_is_bitwise_and_survives_rebalance_and_node_death() {
     // and every stream continues bitwise wherever it now lives.
     let gk_c = Gatekeeper::bind("127.0.0.1:0", gk_config(Some(base.join("node-c")))).unwrap();
     let report = rt.add_backend("node-c", gk_c.local_addr()).unwrap();
-    assert_eq!(report.tracked, 10);
+    // The ten routed tenants plus `direct-only`, put on node-a in phase 2.
+    assert_eq!(report.listed, 11);
+    assert!(report.unlisted.is_empty(), "{:?}", report.unlisted);
     assert!(report.failed.is_empty(), "migrations must not fail: {:?}", report.failed);
     assert!(!report.moved.is_empty(), "adding a node must capture some keys");
     assert!(
@@ -164,11 +154,7 @@ fn two_node_fleet_is_bitwise_and_survives_rebalance_and_node_death() {
     assert!(gk_c.stats().resident_profiles > 0, "node-c must host its captured keys");
     // Migrated or not, every checkpoint read through the router is its
     // twin's image, byte for byte.
-    for (name, twin) in &twins {
-        let (status, image, _) = call(addr, "GET", &format!("/v1/checkpoint/spark/{name}"), b"");
-        assert_eq!(status, 200, "{name}: checkpoint after the node-c join");
-        assert_eq!(image, twin.to_bytes(), "{name}: checkpoint diverged after the node-c join");
-    }
+    audit(addr, &twins);
 
     // --- Phase 4: kill node-c without draining. Its keys answer typed
     // 502s (never hangs); keys on surviving nodes keep scoring.
@@ -291,6 +277,187 @@ impl Drop for StopRelay<'_> {
 
 fn ingest_body(rec: &[f64; 3]) -> String {
     format!("{{\"record\":[{},{},{}]}}", rec[0], rec[1], rec[2])
+}
+
+/// Tenants `spark/run-{i}` with fresh twins.
+fn tenants(n: usize) -> Vec<(String, ServingProfile)> {
+    (0..n).map(|i| (format!("run-{i}"), profile())).collect()
+}
+
+fn install(addr: SocketAddr, twins: &[(String, ServingProfile)]) {
+    for (name, twin) in twins {
+        let (status, _, _) =
+            call(addr, "PUT", &format!("/v1/profile/spark/{name}"), &twin.to_bytes());
+        assert_eq!(status, 200, "install {name}");
+    }
+}
+
+/// One record into every tenant through `addr`, each score bitwise its
+/// twin's.
+fn ingest_round(addr: SocketAddr, twins: &mut [(String, ServingProfile)], round: usize) {
+    let rec = [round as f64 * 0.7 - 1.0, (round as f64).sin(), 0.25];
+    for (name, twin) in twins {
+        let (want, _) = twin.ingest(&rec);
+        let (status, resp, _) =
+            call(addr, "POST", &format!("/v1/ingest/spark/{name}"), ingest_body(&rec).as_bytes());
+        assert_eq!(status, 200, "{name} round {round}: {}", String::from_utf8_lossy(&resp));
+        assert_eq!(score_of(&resp).to_bits(), want.to_bits(), "{name} diverged at round {round}");
+    }
+}
+
+/// Every checkpoint read through `addr` is its twin's image.
+fn audit(addr: SocketAddr, twins: &[(String, ServingProfile)]) {
+    for (name, twin) in twins {
+        let (status, image, _) = call(addr, "GET", &format!("/v1/checkpoint/spark/{name}"), b"");
+        assert_eq!(status, 200, "{name}: checkpoint");
+        assert_eq!(image, twin.to_bytes(), "{name}: checkpoint diverged from its twin");
+    }
+}
+
+/// The entity names a node lists on `GET /v1/keys`.
+fn listed_entities(node: SocketAddr) -> Vec<String> {
+    let (status, body, _) = call(node, "GET", "/v1/keys", b"");
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let doc = serde_json::parse_value(std::str::from_utf8(&body).unwrap()).unwrap();
+    let keys = doc.get("keys").unwrap().as_array().unwrap();
+    keys.iter().map(|k| k.as_array().unwrap()[1].as_str().unwrap().to_string()).collect()
+}
+
+/// The entities among `names` that `node-c` captures when it joins
+/// `node-a` and `node-b` (rings with the router's default virtual nodes).
+fn captured_by_c<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<String> {
+    let ring = Ring::build(["node-a", "node-b", "node-c"], RouterConfig::default().vnodes);
+    names.into_iter().filter(|n| ring.owner("spark", n) == Some(2)).map(String::from).collect()
+}
+
+/// A node-c join moved exactly `want`, with nothing failed or unlisted.
+fn assert_moved(report: &RebalanceReport, want: &[String]) {
+    assert!(report.failed.is_empty() && report.unlisted.is_empty(), "{report:?}");
+    assert!(!want.is_empty(), "node-c must capture some tenant");
+    let mut moved: Vec<String> = report.moved.iter().map(|(_, e)| e.clone()).collect();
+    moved.sort();
+    let mut want = want.to_vec();
+    want.sort();
+    assert_eq!(moved, want, "a join must move exactly the keys node-c captures");
+}
+
+#[test]
+fn rebalance_after_a_router_restart_moves_every_captured_tenant() {
+    let gk_a = Gatekeeper::bind("127.0.0.1:0", gk_config(None)).unwrap();
+    let gk_b = Gatekeeper::bind("127.0.0.1:0", gk_config(None)).unwrap();
+    let nodes = [("node-a", gk_a.local_addr()), ("node-b", gk_b.local_addr())];
+    let mut twins = tenants(10);
+    let r1 = Router::bind("127.0.0.1:0", &nodes, RouterConfig::default()).unwrap();
+    install(r1.local_addr(), &twins);
+    for round in 0..3 {
+        ingest_round(r1.local_addr(), &mut twins, round);
+    }
+    r1.shutdown();
+
+    // A fresh router has seen none of the traffic that installed them.
+    let r2 = Router::bind("127.0.0.1:0", &nodes, RouterConfig::default()).unwrap();
+    let gk_c = Gatekeeper::bind("127.0.0.1:0", gk_config(None)).unwrap();
+    let report = r2.add_backend("node-c", gk_c.local_addr()).unwrap();
+    assert_eq!(report.listed, 10);
+    assert_moved(&report, &captured_by_c(twins.iter().map(|(n, _)| n.as_str())));
+    for round in 3..6 {
+        ingest_round(r2.local_addr(), &mut twins, round);
+    }
+    audit(r2.local_addr(), &twins);
+    r2.shutdown();
+    for gk in [gk_a, gk_b, gk_c] {
+        gk.shutdown();
+    }
+}
+
+#[test]
+fn a_profile_put_directly_on_its_node_migrates_on_join() {
+    let gk_a = Gatekeeper::bind("127.0.0.1:0", gk_config(None)).unwrap();
+    let gk_b = Gatekeeper::bind("127.0.0.1:0", gk_config(None)).unwrap();
+    let rt = Router::bind(
+        "127.0.0.1:0",
+        &[("node-a", gk_a.local_addr()), ("node-b", gk_b.local_addr())],
+        RouterConfig::default(),
+    )
+    .unwrap();
+    // An entity node-c will capture, put on its current owner directly.
+    let names: Vec<String> = (0..64).map(|i| format!("direct-{i}")).collect();
+    let name = captured_by_c(names.iter().map(String::as_str)).swap_remove(0);
+    let two = Ring::build(["node-a", "node-b"], RouterConfig::default().vnodes);
+    let at = two.owner("spark", &name).unwrap() as usize;
+    let (owner, other) = ([&gk_a, &gk_b][at].local_addr(), [&gk_a, &gk_b][1 - at].local_addr());
+    let mut twins = vec![(name, profile())];
+    install(owner, &twins);
+    // A stale copy on the node that does not own the key, as a failed
+    // migration DELETE would leave: it must not move over the live one.
+    install(other, &twins);
+    for round in 0..3 {
+        ingest_round(owner, &mut twins, round);
+    }
+
+    let gk_c = Gatekeeper::bind("127.0.0.1:0", gk_config(None)).unwrap();
+    let report = rt.add_backend("node-c", gk_c.local_addr()).unwrap();
+    assert_moved(&report, &[twins[0].0.clone()]);
+    for round in 3..6 {
+        ingest_round(rt.local_addr(), &mut twins, round);
+    }
+    audit(rt.local_addr(), &twins);
+    rt.shutdown();
+    for gk in [gk_a, gk_b, gk_c] {
+        gk.shutdown();
+    }
+}
+
+#[test]
+fn a_spilled_tenant_is_listed_migrated_and_continues_bitwise() {
+    let base = tempdir("spilled");
+    // One byte per shard and one shard: each node keeps only its most
+    // recently touched tenant resident, every other one is a spill file.
+    let tight = |node: &str| GatekeeperConfig {
+        shards: 1,
+        budget_bytes_per_shard: 1,
+        ..gk_config(Some(base.join(node)))
+    };
+    let gk_a = Gatekeeper::bind("127.0.0.1:0", tight("node-a")).unwrap();
+    let gk_b = Gatekeeper::bind("127.0.0.1:0", tight("node-b")).unwrap();
+    let rt = Router::bind(
+        "127.0.0.1:0",
+        &[("node-a", gk_a.local_addr()), ("node-b", gk_b.local_addr())],
+        RouterConfig::default(),
+    )
+    .unwrap();
+    let mut twins = tenants(10);
+    install(rt.local_addr(), &twins);
+    for round in 0..3 {
+        ingest_round(rt.local_addr(), &mut twins, round);
+    }
+    let captured = captured_by_c(twins.iter().map(|(n, _)| n.as_str()));
+    let spilled = |name: &str| {
+        ["node-a", "node-b"].iter().any(|node| {
+            SpillDir::create(base.join(node)).unwrap().file_path("spark", name).exists()
+        })
+    };
+    assert!(captured.iter().any(|n| spilled(n)), "node-c must capture a spilled tenant");
+    let mut listed: Vec<String> =
+        [&gk_a, &gk_b].iter().flat_map(|gk| listed_entities(gk.local_addr())).collect();
+    listed.sort();
+    let mut names: Vec<String> = twins.iter().map(|(n, _)| n.clone()).collect();
+    names.sort();
+    assert_eq!(listed, names, "the nodes must list every tenant, spilled ones included");
+
+    let gk_c = Gatekeeper::bind("127.0.0.1:0", tight("node-c")).unwrap();
+    let report = rt.add_backend("node-c", gk_c.local_addr()).unwrap();
+    assert_eq!(report.listed, 10, "spilled tenants must be listed");
+    assert_moved(&report, &captured);
+    for round in 3..6 {
+        ingest_round(rt.local_addr(), &mut twins, round);
+    }
+    audit(rt.local_addr(), &twins);
+    rt.shutdown();
+    for gk in [gk_a, gk_b, gk_c] {
+        gk.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
