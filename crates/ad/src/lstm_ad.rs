@@ -105,9 +105,10 @@ impl AnomalyScorer for LstmDetector {
         if n <= w {
             return scores;
         }
-        #[allow(clippy::needless_range_loop)] // t indexes both the series and scores
-        for t in w..n {
-            let forecast = model.predict_flat(ts.records_slice(t - w, w));
+        // One input projection for the whole series, one recurrence per
+        // window: the same bits as forecasting each window on its own.
+        let forecasts = model.forecast_series(ts.records_slice(0, n), w);
+        for (t, forecast) in (w..n).zip(forecasts.chunks_exact(model.out_dim())) {
             let actual = ts.record(t);
             // Relative forecast error: squared error normalized by the
             // magnitude of the actual record (plus 1 to stabilize the

@@ -30,18 +30,6 @@ impl ThresholdStat {
     pub const ALL: [ThresholdStat; 3] =
         [ThresholdStat::Std, ThresholdStat::Mad, ThresholdStat::Iqr];
 
-    fn s1_s2(self, scores: &[f64]) -> (f64, f64) {
-        use exathlon_linalg::stats::{mad, mean, median, quartiles, std_dev};
-        match self {
-            ThresholdStat::Std => (mean(scores), std_dev(scores)),
-            ThresholdStat::Mad => (median(scores), mad(scores)),
-            ThresholdStat::Iqr => {
-                let (q1, q3) = quartiles(scores);
-                (q3, q3 - q1)
-            }
-        }
-    }
-
     /// Display name as used in the paper.
     pub fn label(self) -> &'static str {
         match self {
@@ -78,23 +66,25 @@ impl ThresholdRule {
         rules
     }
 
-    /// Fit the threshold on held-out training scores.
+    /// Fit the threshold on held-out training scores: the one-rule case
+    /// of [`ThresholdRule::fit_grid`].
     ///
     /// # Panics
     /// Panics on an empty score slice.
     pub fn fit(&self, scores: &[f64]) -> f64 {
-        assert!(!scores.is_empty(), "cannot fit a threshold on no scores");
-        let (s1, s2) = self.stat.s1_s2(scores);
-        let first = s1 + self.factor * s2;
-        if !self.two_pass {
-            return first;
-        }
-        let kept: Vec<f64> = scores.iter().copied().filter(|&s| s <= first).collect();
-        if kept.is_empty() {
-            return first;
-        }
-        let (s1, s2) = self.stat.s1_s2(&kept);
-        s1 + self.factor * s2
+        ScoreGrid::new(scores).fit(*self)
+    }
+
+    /// The thresholds of every rule of [`ThresholdRule::all_rules`], in
+    /// that order, each bitwise equal to [`ThresholdRule::fit`]. The
+    /// scores are sorted once for all MAD and IQR rules, and each
+    /// statistic's first pass is computed once for its four factors.
+    ///
+    /// # Panics
+    /// Panics on an empty score slice.
+    pub fn fit_grid(scores: &[f64]) -> Vec<f64> {
+        let mut grid = ScoreGrid::new(scores);
+        Self::all_rules().into_iter().map(|rule| grid.fit(rule)).collect()
     }
 
     /// Apply a fitted threshold: `score >= threshold` flags an anomaly.
@@ -110,6 +100,113 @@ impl ThresholdRule {
             self.factor,
             if self.two_pass { " (2-pass)" } else { "" }
         )
+    }
+}
+
+/// Held-out scores prepared once for any number of rules.
+///
+/// The two-pass variant keeps the scores `s <= first` (NaN never passes,
+/// `-inf` always does). Of the finite scores those are a prefix of the
+/// stable sorted copy, so MAD and IQR read a prefix of one sort. STD
+/// sums in the original order, because its float sums depend on order.
+/// Every statistic evaluates the expressions of `exathlon_linalg::stats`
+/// on the same values in the same order, so thresholds are bitwise equal
+/// to the direct formulas.
+struct ScoreGrid<'a> {
+    scores: &'a [f64],
+    /// The finite scores, stably sorted ascending.
+    sorted: Vec<f64>,
+    /// Reused buffer for MAD's sorted absolute deviations.
+    devs: Vec<f64>,
+    /// First-pass `(S1, S2)` per statistic, indexed by its discriminant
+    /// ([`ThresholdStat::ALL`] order), computed on first use.
+    first_pass: [Option<(f64, f64)>; 3],
+}
+
+impl<'a> ScoreGrid<'a> {
+    fn new(scores: &'a [f64]) -> Self {
+        assert!(!scores.is_empty(), "cannot fit a threshold on no scores");
+        let sorted = exathlon_linalg::stats::sorted_finite(scores);
+        Self { scores, sorted, devs: Vec::new(), first_pass: [None; 3] }
+    }
+
+    fn fit(&mut self, rule: ThresholdRule) -> f64 {
+        let slot = rule.stat as usize;
+        let (s1, s2) = match self.first_pass[slot] {
+            Some(pair) => pair,
+            None => {
+                let pair = self.s1_s2(rule.stat, f64::INFINITY);
+                self.first_pass[slot] = Some(pair);
+                pair
+            }
+        };
+        let first = s1 + rule.factor * s2;
+        if !rule.two_pass || !self.scores.iter().any(|&s| s <= first) {
+            return first;
+        }
+        let (s1, s2) = self.s1_s2(rule.stat, first);
+        s1 + rule.factor * s2
+    }
+
+    /// `(S1, S2)` over the finite scores `<= cut` (`+inf` keeps them all).
+    fn s1_s2(&mut self, stat: ThresholdStat, cut: f64) -> (f64, f64) {
+        use exathlon_linalg::stats::quantile_sorted;
+        let kept = &self.sorted[..self.sorted.partition_point(|&x| x <= cut)];
+        match stat {
+            ThresholdStat::Std => mean_std(self.scores, cut),
+            ThresholdStat::Mad => {
+                let med = quantile_sorted(kept, 0.5);
+                sorted_abs_devs(kept, med, &mut self.devs);
+                (med, 1.4826 * quantile_sorted(&self.devs, 0.5))
+            }
+            ThresholdStat::Iqr => {
+                let (q1, q3) = (quantile_sorted(kept, 0.25), quantile_sorted(kept, 0.75));
+                (q3, q3 - q1)
+            }
+        }
+    }
+}
+
+/// Mean and population standard deviation of the finite scores `<= cut`,
+/// summed in input order (`stats::{mean, std_dev}` on the kept scores).
+fn mean_std(scores: &[f64], cut: f64) -> (f64, f64) {
+    let kept = || scores.iter().copied().filter(|&x| x.is_finite() && x <= cut);
+    let (mut sum, mut n) = (0.0, 0usize);
+    for x in kept() {
+        sum += x;
+        n += 1;
+    }
+    if n == 0 {
+        return (0.0, 0.0);
+    }
+    let m = sum / n as f64;
+    let mut sq = 0.0;
+    for x in kept() {
+        let d = x - m;
+        sq += d * d;
+    }
+    (m, (sq / n as f64).sqrt())
+}
+
+/// The finite `|x - med|` of an ascending slice, ascending, into `out`.
+/// The deviations fall from the left end to `med` and rise after it, so
+/// one merge of the two runs sorts them. Equal deviations are bitwise
+/// equal (`abs` clears the sign), so the merge yields the same sequence
+/// as sorting.
+fn sorted_abs_devs(sorted: &[f64], med: f64, out: &mut Vec<f64>) {
+    out.clear();
+    let split = sorted.partition_point(|&x| x < med);
+    let mut left = sorted[..split].iter().rev().map(|&x| (x - med).abs()).peekable();
+    let mut right = sorted[split..].iter().map(|&x| (x - med).abs()).peekable();
+    loop {
+        let next = match (left.peek(), right.peek()) {
+            (Some(&l), Some(&r)) if l <= r => left.next(),
+            (Some(_), Some(_)) => right.next(),
+            (Some(_), None) => left.next(),
+            (None, Some(_)) => right.next(),
+            (None, None) => break,
+        };
+        out.extend(next.filter(|d| d.is_finite()));
     }
 }
 
@@ -199,5 +296,119 @@ mod tests {
     fn empty_scores_panic() {
         let rule = ThresholdRule { stat: ThresholdStat::Std, factor: 2.0, two_pass: false };
         let _ = rule.fit(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no scores")]
+    fn empty_grid_panics() {
+        let _ = ThresholdRule::fit_grid(&[]);
+    }
+
+    /// The direct formulas, the reference for the sorted grid: `stats`
+    /// functions on the scores, and on a filtered copy for the second
+    /// pass.
+    fn oracle_fit(rule: &ThresholdRule, scores: &[f64]) -> f64 {
+        use exathlon_linalg::stats::{mad, mean, median, quartiles, std_dev};
+        let s1_s2 = |xs: &[f64]| match rule.stat {
+            ThresholdStat::Std => (mean(xs), std_dev(xs)),
+            ThresholdStat::Mad => (median(xs), mad(xs)),
+            ThresholdStat::Iqr => {
+                let (q1, q3) = quartiles(xs);
+                (q3, q3 - q1)
+            }
+        };
+        let (s1, s2) = s1_s2(scores);
+        let first = s1 + rule.factor * s2;
+        if !rule.two_pass {
+            return first;
+        }
+        let kept: Vec<f64> = scores.iter().copied().filter(|&s| s <= first).collect();
+        if kept.is_empty() {
+            return first;
+        }
+        let (s1, s2) = s1_s2(&kept);
+        s1 + rule.factor * s2
+    }
+
+    /// Grid, single-rule fit and oracle agree bit for bit on every rule.
+    fn assert_grid_matches_oracle(scores: &[f64]) {
+        let grid = ThresholdRule::fit_grid(scores);
+        for (rule, got) in ThresholdRule::all_rules().iter().zip(&grid) {
+            let want = oracle_fit(rule, scores);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{}: grid {got} vs oracle {want}",
+                rule.label()
+            );
+            let single = rule.fit(scores);
+            assert_eq!(single.to_bits(), want.to_bits(), "{}: fit {single}", rule.label());
+        }
+    }
+
+    #[test]
+    fn grid_matches_oracle_on_edge_inputs() {
+        let big = f64::MAX;
+        let cases: Vec<Vec<f64>> = vec![
+            normal_scores(),
+            vec![3.0],
+            vec![2.5; 40],
+            vec![0.0, -0.0, 0.0, -0.0, 1.0],
+            vec![f64::NAN, 1.0, f64::INFINITY, 2.0, f64::NEG_INFINITY, 3.0, f64::NAN],
+            vec![f64::NAN; 5],
+            vec![f64::INFINITY, f64::NEG_INFINITY],
+            vec![f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NAN],
+            // Overflowing sums and spreads: a NaN or infinite first pass.
+            vec![-big, -big, -big],
+            vec![big, -big, big, -big, 1.0],
+            vec![big, big, 0.0],
+            // Heavy contamination on both sides of the median.
+            (0..50).map(|i| if i % 7 == 0 { 1e6 } else { (i % 5) as f64 }).collect(),
+            (0..50).map(|i| if i % 9 == 0 { -1e6 } else { i as f64 * 0.1 }).collect(),
+        ];
+        for scores in &cases {
+            assert_grid_matches_oracle(scores);
+        }
+    }
+
+    /// A two-pass rule whose first-pass threshold keeps no score returns
+    /// the first pass, in the grid as in the oracle.
+    #[test]
+    fn two_pass_that_keeps_nothing_returns_the_first_pass() {
+        for scores in [vec![f64::NAN, f64::NAN], vec![-f64::MAX, -f64::MAX, f64::NAN]] {
+            for rule in ThresholdRule::all_rules().iter().filter(|r| r.two_pass) {
+                let first = ThresholdRule { two_pass: false, ..*rule }.fit(&scores);
+                if !scores.iter().any(|&s| s <= first) {
+                    assert_eq!(rule.fit(&scores).to_bits(), first.to_bits(), "{}", rule.label());
+                }
+            }
+            assert_grid_matches_oracle(&scores);
+        }
+        let nan_first = ThresholdRule { stat: ThresholdStat::Std, factor: 2.0, two_pass: true };
+        assert!(nan_first.fit(&[-f64::MAX, -f64::MAX]).is_nan());
+    }
+
+    /// Value pool with ties, signed zeros and non-finite entries.
+    fn score_value() -> impl proptest::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            -5.0f64..5.0,
+            (0u8..6).prop_map(|k| k as f64 * 0.5),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            (0.0f64..1.0).prop_map(|u| 1e3 + u * 1e4),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn grid_equals_fit_and_oracle_bitwise(
+            scores in proptest::collection::vec(score_value(), 1..120)
+        ) {
+            assert_grid_matches_oracle(&scores);
+        }
     }
 }

@@ -78,9 +78,14 @@ fn bench_pca(c: &mut Criterion) {
     group.finish();
 }
 
+/// The shape of one `pipeline-batch` rule evaluation: ~100 real ranges
+/// against ~1,000 short predicted ones, in start order, with one pair of
+/// overlapping real ranges. An all-pairs scorer pays 100 × 1,000 range
+/// comparisons here; the sorted sweep pays the overlaps.
 fn bench_range_pr(c: &mut Criterion) {
-    let real: Vec<Range> = (0..50).map(|i| Range::new(i * 100, i * 100 + 40)).collect();
-    let predicted: Vec<Range> = (0..80).map(|i| Range::new(i * 70 + 5, i * 70 + 30)).collect();
+    let mut real: Vec<Range> = (0..100).map(|i| Range::new(i * 1000, i * 1000 + 300)).collect();
+    real[50] = Range::new(50_000, 51_100);
+    let predicted: Vec<Range> = (0..1000).map(|j| Range::new(j * 100 + 10, j * 100 + 40)).collect();
     c.bench_function("range_pr_ad2", |b| {
         b.iter(|| black_box(evaluate_at_level(&real, &predicted, AdLevel::Range)))
     });

@@ -234,24 +234,28 @@ fn predicted_ranges(tests: &[ScoredTest], offsets: &[u64], threshold: f64) -> Ve
 /// Evaluate a model's detection ability at one AD level across all 24
 /// thresholding rules.
 ///
-/// The pooled ground truth (real ranges, typed subsets, trace offsets)
-/// is computed once and shared by every rule; only the predicted ranges
-/// depend on the threshold. The rule grid fans out on the shared worker
-/// pool ([`crate::par`]); every rule evaluation is independent and
-/// output order matches `ThresholdRule::all_rules()`, so results are
-/// identical to the sequential sweep.
+/// The 24 thresholds are fitted in one pass over the sorted D² scores
+/// ([`ThresholdRule::fit_grid`]), and the pooled ground truth (real
+/// ranges, typed subsets, trace offsets) is computed once and shared by
+/// every rule; only the predicted ranges depend on the threshold. The
+/// rule grid fans out on the shared worker pool ([`crate::par`]); every
+/// rule evaluation is independent and output order matches
+/// `ThresholdRule::all_rules()`, so results are identical to the
+/// sequential sweep.
 pub fn evaluate_detection(
     model: &TrainedModel,
     tests: &[ScoredTest],
     level: AdLevel,
 ) -> Vec<DetectionOutcome> {
     let _stage = crate::obs::stage("threshold");
-    let rules = ThresholdRule::all_rules();
+    let grid: Vec<(ThresholdRule, f64)> = ThresholdRule::all_rules()
+        .into_iter()
+        .zip(ThresholdRule::fit_grid(&model.d2_scores))
+        .collect();
     let truth = pooled_truth(tests);
-    crate::par::par_map(&rules, |rule| {
+    crate::par::par_map(&grid, |(rule, threshold)| {
         let _sp = crate::obs::span("threshold", "rule");
-        let threshold = rule.fit(&model.d2_scores);
-        detection_core(&rule.label(), threshold, tests, &truth, level)
+        detection_core(&rule.label(), *threshold, tests, &truth, level)
     })
 }
 

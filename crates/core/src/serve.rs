@@ -223,7 +223,9 @@ impl Shared {
     }
 
     /// Bring a spilled profile back into `reg` (the caller holds its
-    /// lock). Returns whether a restore happened.
+    /// lock). Returns whether a restore happened. An image that cannot be
+    /// read or decoded is an error, not a miss: the tenant still exists,
+    /// and its image stays on disk.
     fn try_restore(
         &self,
         reg: &mut ProfileRegistry,
@@ -231,14 +233,14 @@ impl Shared {
         app: &str,
         entity: &str,
         scratch: &mut ByteWriter,
-    ) -> bool {
-        let Some(spill) = &self.spill else { return false };
-        let Ok(Some((profile, bytes))) = spill.restore(app, entity) else { return false };
+    ) -> std::io::Result<bool> {
+        let Some(spill) = &self.spill else { return Ok(false) };
+        let Some((profile, bytes)) = spill.restore(app, entity)? else { return Ok(false) };
         let victims = reg.insert_hashed(hash, EntityKey::new(app, entity), profile, bytes);
         self.spill_victims(&victims, scratch);
         let _ = spill.remove(app, entity);
         self.gate.restores.fetch_add(1, Ordering::Relaxed);
-        true
+        Ok(true)
     }
 }
 
@@ -471,6 +473,12 @@ fn stage_error(scratch: &mut Scratch, status: u16, message: &str) -> Reply {
     Reply::Json(status)
 }
 
+/// A spill image that exists but cannot be read back: a server error,
+/// not `404 unknown profile`, for a tenant that still exists.
+fn spill_error(scratch: &mut Scratch, e: &std::io::Error) -> Reply {
+    stage_error(scratch, 500, &format!("spill image unreadable: {e}"))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn handle(
     shared: &Shared,
@@ -671,22 +679,22 @@ fn get_checkpoint(
     app: &str,
     entity: &str,
 ) -> Reply {
-    let bytes = {
+    // A spilled tenant's image is its checkpoint: serve it from the file
+    // and leave the tenant spilled. Restoring it for a read would evict
+    // and spill a resident tenant (and rebalance deletes a moved tenant
+    // right after reading it).
+    let image = {
         let mut reg = shared.shard_at(hash).lock();
-        match reg.peek_hashed(hash, app, entity) {
-            Some(p) => Some(p.to_bytes()),
-            None => {
-                if shared.try_restore(&mut reg, hash, app, entity, &mut scratch.writer) {
-                    reg.peek_hashed(hash, app, entity).map(|p| p.to_bytes())
-                } else {
-                    None
-                }
-            }
+        match (reg.peek_hashed(hash, app, entity), &shared.spill) {
+            (Some(p), _) => Ok(Some(p.to_bytes())),
+            (None, Some(spill)) => spill.image(app, entity),
+            (None, None) => Ok(None),
         }
     };
-    match bytes {
-        Some(b) => Reply::Octets(b),
-        None => stage_error(scratch, 404, "unknown profile"),
+    match image {
+        Ok(Some(bytes)) => Reply::Octets(bytes),
+        Ok(None) => stage_error(scratch, 404, "unknown profile"),
+        Err(e) => spill_error(scratch, &e),
     }
 }
 
@@ -717,7 +725,10 @@ fn ingest(
     let verdict: Result<(), (u16, &'static str)> = {
         let mut reg = shared.shard_at(hash).lock();
         if reg.get_mut_hashed(hash, app, entity).is_none() {
-            shared.try_restore(&mut reg, hash, app, entity, &mut scratch.writer);
+            if let Err(e) = shared.try_restore(&mut reg, hash, app, entity, &mut scratch.writer) {
+                drop(reg);
+                return spill_error(scratch, &e);
+            }
         }
         match reg.get_mut_hashed(hash, app, entity) {
             None => Err((404, "unknown profile")),
@@ -1096,6 +1107,74 @@ mod tests {
             assert_eq!(call(addr, "DELETE", &format!("/v1/profile/{app}/{entity}"), b"").0, 200);
         }
         assert_eq!(listed(addr), [(keys[1].0.to_string(), keys[1].1.to_string())]);
+        gk.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spilled_checkpoint_is_served_from_its_file_and_stays_spilled() {
+        let dir = std::env::temp_dir().join(format!("exathlon-gk-spillget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = GatekeeperConfig {
+            shards: 1,
+            budget_bytes_per_shard: 1, // only the last PUT stays resident
+            spill_dir: Some(dir.clone()),
+            ..GatekeeperConfig::default()
+        };
+        let gk = Gatekeeper::bind("127.0.0.1:0", config).unwrap();
+        let addr = gk.local_addr();
+        let mut twin = profile();
+        twin.ingest(&[3.0, -1.0]);
+        call(addr, "PUT", "/v1/profile/app/a", &twin.to_bytes());
+        call(addr, "PUT", "/v1/profile/app/b", &profile().to_bytes());
+        let before = gk.gate_stats();
+        assert_eq!(before.spills, 1);
+        let (status, image) = call(addr, "GET", "/v1/checkpoint/app/a", b"");
+        assert_eq!(status, 200);
+        assert_eq!(image, twin.to_bytes(), "the spilled image is the checkpoint, bitwise");
+        let after = gk.gate_stats();
+        assert_eq!((after.restores, after.spills), (before.restores, before.spills));
+        assert_eq!(gk.stats().resident_profiles, 1);
+        assert!(SpillDir::create(&dir).unwrap().file_path("app", "a").exists());
+        gk.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_spill_image_is_a_typed_500_and_stays_on_disk() {
+        let dir = std::env::temp_dir().join(format!("exathlon-gk-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = GatekeeperConfig {
+            shards: 1,
+            budget_bytes_per_shard: 1,
+            spill_dir: Some(dir.clone()),
+            ..GatekeeperConfig::default()
+        };
+        let gk = Gatekeeper::bind("127.0.0.1:0", config).unwrap();
+        let addr = gk.local_addr();
+        call(addr, "PUT", "/v1/profile/app/a", &profile().to_bytes());
+        call(addr, "PUT", "/v1/profile/app/b", &profile().to_bytes());
+        // a is spilled; tear its image in half.
+        let path = SpillDir::create(&dir).unwrap().file_path("app", "a");
+        let mut torn = std::fs::read(&path).unwrap();
+        torn.truncate(torn.len() / 2);
+        std::fs::write(&path, &torn).unwrap();
+        for (method, route, body) in [
+            ("POST", "/v1/ingest/app/a", &b"{\"record\":[1,2]}"[..]),
+            ("POST", "/v1/score/app/a", &b"{\"records\":[[1,2]]}"[..]),
+            ("GET", "/v1/checkpoint/app/a", &b""[..]),
+        ] {
+            let (status, body) = call(addr, method, route, body);
+            assert_eq!(status, 500, "{method} {route}: {}", String::from_utf8_lossy(&body));
+            let text = String::from_utf8(body).unwrap();
+            assert!(text.starts_with("{\"error\":\"spill image unreadable: "), "{text}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), torn, "a failed restore must keep the image");
+        assert_eq!(gk.gate_stats().restores, 0);
+        // The resident tenant is untouched, and a PUT replaces the image.
+        assert_eq!(call(addr, "POST", "/v1/ingest/app/b", b"{\"record\":[1,2]}").0, 200);
+        assert_eq!(call(addr, "PUT", "/v1/profile/app/a", &profile().to_bytes()).0, 200);
+        assert_eq!(call(addr, "POST", "/v1/ingest/app/a", b"{\"record\":[1,2]}").0, 200);
         gk.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -109,14 +109,27 @@ impl SpillDir {
     /// silent miss: restoring a torn profile would corrupt the score
     /// stream the spill tier exists to preserve.
     pub fn restore(&self, app: &str, entity: &str) -> io::Result<Option<(ServingProfile, usize)>> {
-        let bytes = match std::fs::read(self.file_path(app, entity)) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        ServingProfile::from_bytes(&bytes).map(|p| Some((p, bytes.len()))).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad spill image: {e}"))
-        })
+        let Some(bytes) = self.read(app, entity)? else { return Ok(None) };
+        decode(&bytes).map(|p| Some((p, bytes.len())))
+    }
+
+    /// The spilled image of a key, checked to decode, or `None` if this
+    /// key has no image. The bytes are the profile's checkpoint image, so
+    /// a spilled tenant's checkpoint is served without restoring it. A
+    /// corrupt image is an `InvalidData` error, as in
+    /// [`SpillDir::restore`].
+    pub(crate) fn image(&self, app: &str, entity: &str) -> io::Result<Option<Vec<u8>>> {
+        let Some(bytes) = self.read(app, entity)? else { return Ok(None) };
+        decode(&bytes)?;
+        Ok(Some(bytes))
+    }
+
+    fn read(&self, app: &str, entity: &str) -> io::Result<Option<Vec<u8>>> {
+        match std::fs::read(self.file_path(app, entity)) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 
     /// Delete the image for a key (after restore, or on profile DELETE).
@@ -139,6 +152,11 @@ impl SpillDir {
         }
         Ok(keys)
     }
+}
+
+fn decode(bytes: &[u8]) -> io::Result<ServingProfile> {
+    ServingProfile::from_bytes(bytes)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad spill image: {e}")))
 }
 
 fn push_hex(out: &mut String, bytes: &[u8]) {
@@ -195,6 +213,8 @@ mod tests {
         let (restored, size) = spill.restore("app", "ent").unwrap().unwrap();
         assert_eq!(size, n);
         assert_eq!(restored.to_bytes(), p.to_bytes(), "EXCK image must be bitwise stable");
+        assert_eq!(spill.image("app", "ent").unwrap(), Some(p.to_bytes()));
+        assert_eq!(spill.image("app", "other").unwrap(), None);
         // A second spill reuses the scratch buffer without growing state.
         let n2 = spill.spill("app", "ent", &p, &mut scratch).unwrap();
         assert_eq!(n, n2);
@@ -260,6 +280,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = spill.restore("a", "b").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(spill.image("a", "b").unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert!(path.exists(), "a failed read must keep the image");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

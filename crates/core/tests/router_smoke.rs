@@ -446,9 +446,17 @@ fn a_spilled_tenant_is_listed_migrated_and_continues_bitwise() {
     assert_eq!(listed, names, "the nodes must list every tenant, spilled ones included");
 
     let gk_c = Gatekeeper::bind("127.0.0.1:0", tight("node-c")).unwrap();
+    let io = |gk: &Gatekeeper| {
+        let s = gk.gate_stats();
+        (s.restores, s.spills)
+    };
+    let before = [io(&gk_a), io(&gk_b)];
     let report = rt.add_backend("node-c", gk_c.local_addr()).unwrap();
     assert_eq!(report.listed, 10, "spilled tenants must be listed");
     assert_moved(&report, &captured);
+    // Moving a spilled tenant reads its image; the old owner neither
+    // restores it nor spills a resident tenant to make room.
+    assert_eq!([io(&gk_a), io(&gk_b)], before, "(restores, spills) of the old owners");
     for round in 3..6 {
         ingest_round(rt.local_addr(), &mut twins, round);
     }

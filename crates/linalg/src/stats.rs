@@ -61,8 +61,9 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 
 /// Sorted copy of the finite values of `xs`. Filtering must reject ±inf
 /// too, not just NaN: an inf kept here used to surface as an infinite
-/// quantile (and from there an infinite or NaN IQR-rule threshold).
-fn sorted_finite(xs: &[f64]) -> Vec<f64> {
+/// quantile (and from there an infinite or NaN IQR-rule threshold). The
+/// sort is stable, so `-0.0` and `0.0` keep their input order.
+pub fn sorted_finite(xs: &[f64]) -> Vec<f64> {
     let mut v: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
     v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN after filter"));
     v

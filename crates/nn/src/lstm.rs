@@ -174,23 +174,44 @@ impl Lstm {
 
     /// Fused forward pass staged in `ws`; returns the step count, with
     /// the prediction left in `ws.y`. One GEMM for the input-side
-    /// pre-activations and a single-accumulator matvec for the recurrent
-    /// side, so every stored value is bitwise identical to the tests'
-    /// per-step `StepCache` oracle — without per-step allocation once
-    /// warm.
+    /// pre-activations ([`Lstm::project`]) and the recurrence over them
+    /// ([`Lstm::recur`]), so every stored value is bitwise identical to
+    /// the tests' per-step `StepCache` oracle — without per-step
+    /// allocation once warm.
     fn forward_ws(&self, seq: &[f64], ws: &mut LstmWorkspace) -> usize {
-        let h_dim = self.hidden;
         let t_len = self.steps_of(seq);
-        ws.zero_h.clear();
-        ws.zero_h.resize(h_dim, 0.0);
+        let mut wxx = std::mem::take(&mut ws.wxx);
+        self.project(seq, t_len, ws, &mut wxx);
+        self.recur(wxx.as_slice(), t_len, ws);
+        ws.wxx = wxx;
+        t_len
+    }
+
+    /// Input-side gate pre-activations `X·Wxᵀ` of a `t_len`-step
+    /// record-major sequence into `wxx`, one `4h` row per step. Each row
+    /// is a single ascending-`k` accumulation, whatever the row count
+    /// (the kernel's numerics contract), so projecting a whole series
+    /// once yields, row for row, the bits of projecting each window.
+    fn project(&self, seq: &[f64], t_len: usize, ws: &mut LstmWorkspace, wxx: &mut Matrix) {
         if t_len == 0 {
-            ws.wxx.reset(0, GATES * h_dim);
+            wxx.reset(0, GATES * self.hidden);
         } else {
             ws.x_mat.reset(t_len, self.in_dim);
             ws.x_mat.as_mut_slice().copy_from_slice(seq);
-            kernel::matmul_transpose_into(&ws.x_mat, &self.wx.value, &mut ws.wxt, &mut ws.wxx);
+            kernel::matmul_transpose_into(&ws.x_mat, &self.wx.value, &mut ws.wxt, wxx);
         }
-        ws.gates.reset(t_len, GATES * h_dim);
+    }
+
+    /// The recurrence and readout over `t_len` rows of input-side
+    /// pre-activations (`wxx`, row-major `4h`), from a zero state. Stores
+    /// every step's gates, cell and hidden state in `ws` for BPTT and
+    /// leaves the prediction in `ws.y`.
+    fn recur(&self, wxx: &[f64], t_len: usize, ws: &mut LstmWorkspace) {
+        let h_dim = self.hidden;
+        let g_dim = GATES * h_dim;
+        ws.zero_h.clear();
+        ws.zero_h.resize(h_dim, 0.0);
+        ws.gates.reset(t_len, g_dim);
         ws.c.reset(t_len, h_dim);
         ws.tanh_c.reset(t_len, h_dim);
         ws.h.reset(t_len, h_dim);
@@ -199,7 +220,7 @@ impl Lstm {
             let h_prev: &[f64] = if t == 0 { &ws.zero_h } else { ws.h.row(t - 1) };
             kernel::matvec_into(&self.wh.value, h_prev, &mut ws.zh);
             ws.z.clear();
-            ws.z.extend_from_slice(ws.wxx.row(t));
+            ws.z.extend_from_slice(&wxx[t * g_dim..(t + 1) * g_dim]);
             for (zi, (zhi, bi)) in ws.z.iter_mut().zip(ws.zh.iter().zip(self.b.value.as_slice())) {
                 *zi += zhi + bi;
             }
@@ -233,7 +254,6 @@ impl Lstm {
         for (yi, bi) in ws.y.iter_mut().zip(self.by.value.as_slice()) {
             *yi += bi;
         }
-        t_len
     }
 
     /// Predict the next record from a sequence of input records.
@@ -252,6 +272,34 @@ impl Lstm {
         let mut ws = LstmWorkspace::default();
         self.forward_ws(seq, &mut ws);
         ws.y
+    }
+
+    /// One-step forecasts for every `window`-record window of a flat
+    /// record-major series: `out_dim` values per window, the `i`-th for
+    /// record `window + i` from records `i..i + window`, each bitwise
+    /// [`Lstm::predict_flat`] of that window. The input projection runs
+    /// once over the whole series, so each record is projected once; only
+    /// the recurrence runs per window, through one reused workspace.
+    /// Empty when the series has no more than `window` records.
+    ///
+    /// # Panics
+    /// Panics if `series.len()` is not a multiple of the input dimension.
+    pub fn forecast_series(&self, series: &[f64], window: usize) -> Vec<f64> {
+        let n = self.steps_of(series);
+        if n <= window {
+            return Vec::new();
+        }
+        let g_dim = GATES * self.hidden;
+        let mut ws = LstmWorkspace::default();
+        let mut wxx = Matrix::default();
+        self.project(series, n, &mut ws, &mut wxx);
+        let mut forecasts = Vec::with_capacity((n - window) * self.out_dim);
+        for start in 0..n - window {
+            let rows = &wxx.as_slice()[start * g_dim..(start + window) * g_dim];
+            self.recur(rows, window, &mut ws);
+            forecasts.extend_from_slice(&ws.y);
+        }
+        forecasts
     }
 
     /// Accumulate gradients for one `(sequence, target)` pair; returns the
@@ -755,6 +803,62 @@ mod tests {
     fn wrong_flat_len_panics() {
         let lstm = Lstm::new(3, 4, 3, &mut rng());
         let _ = lstm.predict_flat(&[1.0, 2.0]);
+    }
+
+    /// `forecast_series` against one `predict_flat` per window, bit for
+    /// bit.
+    fn assert_forecasts_match(in_dim: usize, hidden: usize, n: usize, window: usize, seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let mut r = StdRng::seed_from_u64(seed);
+        let lstm = Lstm::new(in_dim, hidden, in_dim, &mut r);
+        let series: Vec<f64> = (0..n * in_dim).map(|_| r.gen_range(-2.0..2.0)).collect();
+        let got = lstm.forecast_series(&series, window);
+        let windows = n.saturating_sub(window);
+        assert_eq!(got.len(), windows * in_dim, "in {in_dim}, h {hidden}, n {n}, w {window}");
+        for (i, forecast) in got.chunks_exact(in_dim).enumerate() {
+            let want = lstm.predict_flat(&series[i * in_dim..(i + window) * in_dim]);
+            for (g, w) in forecast.iter().zip(&want) {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "in {in_dim}, h {hidden}, n {n}, w {window}, window {i}: {g} vs {w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn forecast_series_matches_predict_flat_bitwise() {
+        // Hidden widths on and off the GEMM tiles, series shorter than,
+        // equal to and longer than the window, one-record windows, and a
+        // series long enough for the parallel row blocks.
+        for (in_dim, hidden, n, window) in [
+            (3, 4, 40, 6),
+            (2, 5, 17, 1),
+            (5, 7, 33, 8),
+            (1, 3, 12, 4),
+            (19, 24, 150, 8),
+            (4, 6, 5, 5),
+            (4, 6, 3, 5),
+            (4, 6, 0, 2),
+            (2, 3, 9, 0),
+        ] {
+            assert_forecasts_match(in_dim, hidden, n, window, (in_dim * 31 + hidden) as u64);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+        #[test]
+        fn forecast_series_is_predict_flat_for_every_window(
+            in_dim in 1usize..7,
+            hidden in 1usize..11,
+            n in 0usize..70,
+            window in 1usize..10,
+            seed in 0u64..1000,
+        ) {
+            assert_forecasts_match(in_dim, hidden, n, window, seed);
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! discounted.
 
 use crate::ranges::Range;
+use std::borrow::Cow;
 
 /// Positional bias `δ` of the overlap reward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,39 +136,101 @@ fn omega(range: &Range, overlap: &Range, bias: Bias) -> f64 {
     }
 }
 
-/// Score of a single range against a set of counterpart ranges.
-fn single_range_score(range: &Range, others: &[Range], p: &RangeParams) -> f64 {
-    let overlaps: Vec<Range> = others.iter().filter_map(|o| range.intersect(o)).collect();
-    let existence = if overlaps.is_empty() { 0.0 } else { 1.0 };
+/// Counterpart ranges ordered by start, with the running maximum of
+/// their ends, so two binary searches bound the only counterparts that
+/// can overlap a given range.
+struct Counterparts<'a> {
+    /// The counterparts, stably ordered by start (borrowed when the
+    /// input already is).
+    ranges: Cow<'a, [Range]>,
+    /// `max_end[i]` is the largest end among `ranges[..=i]`.
+    max_end: Vec<u64>,
+}
+
+impl<'a> Counterparts<'a> {
+    fn new(ranges: &'a [Range]) -> Self {
+        let ranges = if ranges.windows(2).all(|w| w[0].start <= w[1].start) {
+            Cow::Borrowed(ranges)
+        } else {
+            let mut owned = ranges.to_vec();
+            owned.sort_by_key(|r| r.start);
+            Cow::Owned(owned)
+        };
+        let mut running = 0;
+        let max_end = ranges
+            .iter()
+            .map(|r| {
+                running = running.max(r.end);
+                running
+            })
+            .collect();
+        Self { ranges, max_end }
+    }
+
+    /// The counterparts that can overlap `range`, in start order: those
+    /// starting before it ends, after the last prefix whose ends all lie
+    /// at or before its start. Candidates that do not overlap it (a short
+    /// range behind a long one) are dropped by the caller's intersection.
+    fn candidates(&self, range: &Range) -> &[Range] {
+        let hi = self.ranges.partition_point(|o| o.start < range.end);
+        let lo = self.max_end[..hi].partition_point(|&e| e <= range.start);
+        &self.ranges[lo..hi]
+    }
+}
+
+/// Score of a single range against its candidate counterparts, summing
+/// the overlap rewards in counterpart order.
+fn single_range_score(range: &Range, candidates: &[Range], p: &RangeParams) -> f64 {
+    let mut overlapping = 0usize;
+    let mut overlap_reward = 0.0;
+    for o in candidates {
+        if let Some(overlap) = range.intersect(o) {
+            overlapping += 1;
+            overlap_reward += omega(range, &overlap, p.bias);
+        }
+    }
+    let existence = if overlapping == 0 { 0.0 } else { 1.0 };
     if p.alpha >= 1.0 {
         return existence;
     }
-    let cardinality = p.cardinality.factor(overlaps.len());
-    let overlap_reward: f64 = overlaps.iter().map(|o| omega(range, o, p.bias)).sum();
+    let cardinality = p.cardinality.factor(overlapping);
     // The additive overlap sum over disjoint intersections of one range
     // cannot exceed 1 because the weights partition the range.
-    let overlap_reward = overlap_reward.min(1.0);
+    let overlap_reward: f64 = overlap_reward.min(1.0);
     p.alpha * existence + (1.0 - p.alpha) * cardinality * overlap_reward
 }
 
 /// Range-based recall: average per-real-range score.
 /// Returns 1.0 when there are no real ranges (nothing to recall).
+///
+/// Costs O((n + m) log m) for `n` real and `m` predicted ranges, plus one
+/// step per candidate walked (the overlapping pairs, when predicted
+/// ranges do not nest). Each real range's overlap rewards are summed in the start
+/// order of the predicted ranges, so the result is bitwise that of the
+/// all-pairs definition when `predicted` is ordered by start (as
+/// [`crate::ranges::ranges_from_flags`] produces it), and equal up to
+/// float reassociation otherwise.
 pub fn range_recall(real: &[Range], predicted: &[Range], p: &RangeParams) -> f64 {
     if real.is_empty() {
         return 1.0;
     }
-    real.iter().map(|r| single_range_score(r, predicted, p)).sum::<f64>() / real.len() as f64
+    let predicted = Counterparts::new(predicted);
+    real.iter().map(|r| single_range_score(r, predicted.candidates(r), p)).sum::<f64>()
+        / real.len() as f64
 }
 
 /// Range-based precision: average per-predicted-range score. `α` is forced
 /// to 0 (existence is meaningless for precision, Appendix B). Returns 1.0
-/// when there are no predictions (no false alarms).
+/// when there are no predictions (no false alarms). The same ordering
+/// contract as [`range_recall`] holds with the roles swapped: bitwise
+/// the all-pairs value when `real` is ordered by start.
 pub fn range_precision(real: &[Range], predicted: &[Range], p: &RangeParams) -> f64 {
     if predicted.is_empty() {
         return 1.0;
     }
     let p = RangeParams { alpha: 0.0, ..*p };
-    predicted.iter().map(|pr| single_range_score(pr, real, &p)).sum::<f64>()
+    let real = Counterparts::new(real);
+    predicted.iter().map(|pr| single_range_score(pr, real.candidates(pr), &p)).sum::<f64>()
         / predicted.len() as f64
 }
 
@@ -347,6 +410,142 @@ mod tests {
                 );
                 proptest::prop_assert!((0.0..=1.0).contains(&fast));
             }
+        }
+    }
+
+    /// The all-pairs definition, the reference for the sorted sweep:
+    /// every range against every counterpart, overlaps collected in
+    /// counterpart order.
+    fn oracle_score(range: &Range, others: &[Range], p: &RangeParams) -> f64 {
+        let overlaps: Vec<Range> = others.iter().filter_map(|o| range.intersect(o)).collect();
+        let existence = if overlaps.is_empty() { 0.0 } else { 1.0 };
+        if p.alpha >= 1.0 {
+            return existence;
+        }
+        let cardinality = p.cardinality.factor(overlaps.len());
+        let overlap_reward: f64 = overlaps.iter().map(|o| omega(range, o, p.bias)).sum();
+        let overlap_reward = overlap_reward.min(1.0);
+        p.alpha * existence + (1.0 - p.alpha) * cardinality * overlap_reward
+    }
+
+    fn oracle_recall(real: &[Range], predicted: &[Range], p: &RangeParams) -> f64 {
+        if real.is_empty() {
+            return 1.0;
+        }
+        real.iter().map(|r| oracle_score(r, predicted, p)).sum::<f64>() / real.len() as f64
+    }
+
+    fn oracle_precision(real: &[Range], predicted: &[Range], p: &RangeParams) -> f64 {
+        if predicted.is_empty() {
+            return 1.0;
+        }
+        let p = RangeParams { alpha: 0.0, ..*p };
+        predicted.iter().map(|pr| oracle_score(pr, real, &p)).sum::<f64>() / predicted.len() as f64
+    }
+
+    /// Every bias and penalty, with no, partial and full existence weight.
+    fn all_params() -> Vec<RangeParams> {
+        let mut out = Vec::new();
+        for alpha in [0.0, 0.5, 1.0] {
+            for bias in [Bias::Flat, Bias::Front, Bias::Back] {
+                for cardinality in [Cardinality::None, Cardinality::Reciprocal, Cardinality::Zero] {
+                    out.push(RangeParams { alpha, bias, cardinality });
+                }
+            }
+        }
+        out
+    }
+
+    /// Ranges of arbitrary position and length: overlapping, nested and
+    /// out of order.
+    fn ranges(max: usize) -> impl proptest::Strategy<Value = Vec<Range>> {
+        use proptest::Strategy;
+        proptest::collection::vec((0u64..400, 1u64..60), 0..max)
+            .prop_map(|v| v.into_iter().map(|(s, l)| r(s, s + l)).collect())
+    }
+
+    /// Disjoint ranges in start order, as `ranges_from_flags` yields them.
+    fn flag_ranges() -> impl proptest::Strategy<Value = Vec<Range>> {
+        use proptest::Strategy;
+        proptest::collection::vec(0u8..4, 0..400).prop_map(|v| {
+            let flags: Vec<bool> = v.iter().map(|&x| x == 0).collect();
+            crate::ranges::ranges_from_flags(&flags, 3)
+        })
+    }
+
+    fn by_start(mut v: Vec<Range>) -> Vec<Range> {
+        v.sort_by_key(|r| r.start);
+        v
+    }
+
+    fn assert_close(got: f64, want: f64, what: &str) {
+        let tol = 1e-12 * want.abs().max(1.0);
+        assert!((got - want).abs() <= tol, "{what}: {got} vs {want}");
+    }
+
+    proptest::proptest! {
+        /// Counterparts ordered by start (each side in turn): the sweep
+        /// is the all-pairs value bit for bit, whatever the other side.
+        #[test]
+        fn sweep_is_bitwise_the_oracle_for_start_ordered_counterparts(
+            real in ranges(40),
+            predicted in ranges(60),
+            flagged in flag_ranges(),
+        ) {
+            for p in all_params() {
+                for (real, predicted) in [
+                    (&real, &flagged),
+                    (&by_start(real.clone()), &predicted),
+                    (&flagged, &by_start(predicted.clone())),
+                ] {
+                    let got = range_recall(real, predicted, &p);
+                    let want = oracle_recall(real, &by_start(predicted.clone()), &p);
+                    proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "recall {:?}", p);
+                    let want = oracle_recall(real, predicted, &p);
+                    if predicted.windows(2).all(|w| w[0].start <= w[1].start) {
+                        proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+                    }
+                    let got = range_precision(predicted, real, &p);
+                    let want = oracle_precision(&by_start(predicted.clone()), real, &p);
+                    proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "precision {:?}", p);
+                }
+            }
+        }
+
+        /// Unordered, overlapping and nested counterparts: the sweep sums
+        /// the same rewards in start order, so it agrees with the oracle
+        /// up to float reassociation.
+        #[test]
+        fn sweep_matches_the_oracle_for_any_counterparts(
+            real in ranges(40),
+            predicted in ranges(60),
+        ) {
+            for p in all_params() {
+                assert_close(
+                    range_recall(&real, &predicted, &p),
+                    oracle_recall(&real, &predicted, &p),
+                    "recall",
+                );
+                assert_close(
+                    range_precision(&real, &predicted, &p),
+                    oracle_precision(&real, &predicted, &p),
+                    "precision",
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_range_ahead_keeps_later_short_ones_reachable() {
+        // The running maximum end must not let the binary search skip a
+        // counterpart that starts early but ends late.
+        let predicted = vec![r(0, 100), r(10, 12), r(50, 52)];
+        let real = vec![r(60, 70), r(11, 12)];
+        for p in all_params() {
+            let got = range_recall(&real, &predicted, &p);
+            assert_eq!(got.to_bits(), oracle_recall(&real, &predicted, &p).to_bits(), "{p:?}");
+            let got = range_precision(&predicted, &real, &p);
+            assert_close(got, oracle_precision(&predicted, &real, &p), "precision");
         }
     }
 
