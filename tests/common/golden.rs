@@ -7,7 +7,7 @@
 //! - the threshold, F1, precision, recall and per-type recall of all 24
 //!   threshold rules at each AD level (AD1–AD4);
 //! - the trace/app/global separation AUPRC;
-//! - for kNN, LOF and AE, the per-record scores of the streaming
+//! - for kNN, LOF, AE and EWMA, the per-record scores of the streaming
 //!   [`run_replay`] driver over the same dataset.
 //!
 //! Every method trains from its own seed, so a method's digest does not
@@ -22,20 +22,22 @@ use exathlon_sparksim::dataset::DatasetBuilder;
 use exathlon_tsmetrics::presets::AdLevel;
 
 /// The pinned digest of each method.
-pub const GOLDEN: [(AdMethod, u64); 6] = [
+pub const GOLDEN: [(AdMethod, u64); 7] = [
     (AdMethod::Knn, 0xcaca_b1ae_fde8_3288),
     (AdMethod::Lof, 0xe1f3_9177_05ca_7bcf),
     (AdMethod::Ae, 0x0993_e070_a53f_b004),
     (AdMethod::Lstm, 0x69c4_c000_8138_955f),
     (AdMethod::BiGan, 0x8674_ebd1_8b8f_945d),
     (AdMethod::Mad, 0x114b_b4e0_ec00_7381),
+    (AdMethod::Ewma, 0x7ed5_53b6_000d_1879),
 ];
 
 /// Methods whose streaming form is folded into their digest.
-const STREAMED: [(AdMethod, StreamMethod); 3] = [
+const STREAMED: [(AdMethod, StreamMethod); 4] = [
     (AdMethod::Knn, StreamMethod::Knn),
     (AdMethod::Lof, StreamMethod::Lof),
     (AdMethod::Ae, StreamMethod::Ae),
+    (AdMethod::Ewma, StreamMethod::Ewma),
 ];
 
 /// FNV-1a, 64-bit, over the little-endian bytes of each folded word.
