@@ -7,6 +7,7 @@
 //! the ablation benches.
 
 use crate::scorer::AnomalyScorer;
+use crate::stream::ewma::EwmaLevels;
 use exathlon_tsdata::TimeSeries;
 
 /// Configuration of the EWMA detector.
@@ -38,52 +39,8 @@ impl EwmaDetector {
         Self { config, error_scale: Vec::new() }
     }
 
-    /// One-step EWMA forecast errors for every record of a series
-    /// (record 0 has error 0: nothing to forecast from). An empty series
-    /// yields an empty vector, matching `difference_features`' contract.
-    ///
-    /// Missing values are *gaps*, not observations: a NaN leaves the
-    /// feature's level untouched and contributes a 0 error (the previous
-    /// revision zero-filled NaNs into the level, so every gap looked like
-    /// a crash to 0.0 — a huge spurious error spike that also polluted
-    /// `error_scale` at fit time). A feature that has not yet seen a
-    /// finite value carries no level: its first observation initializes
-    /// the level with a 0 error, exactly like record 0.
-    fn errors(&self, ts: &TimeSeries) -> Vec<Vec<f64>> {
-        if ts.is_empty() {
-            return Vec::new();
-        }
-        let m = ts.dims();
-        let a = self.config.alpha;
-        // NaN level = "no finite observation yet".
-        let mut level: Vec<f64> = ts.record(0).to_vec();
-        let mut out = Vec::with_capacity(ts.len());
-        out.push(vec![0.0; m]);
-        for i in 1..ts.len() {
-            let rec = ts.record(i);
-            let mut errs = Vec::with_capacity(m);
-            for j in 0..m {
-                let x = rec[j];
-                if x.is_nan() {
-                    // Gap: no forecast, no level update.
-                    errs.push(0.0);
-                } else if level[j].is_nan() {
-                    // First finite observation: nothing to forecast from.
-                    errs.push(0.0);
-                    level[j] = x;
-                } else {
-                    errs.push(x - level[j]);
-                    level[j] += a * (x - level[j]);
-                }
-            }
-            out.push(errs);
-        }
-        out
-    }
-
-    /// Per-record streaming state of this fitted detector: replaying a
-    /// trace through [`crate::stream::StreamingEwma::update`] reproduces
-    /// [`AnomalyScorer::score_series`] bitwise.
+    /// Per-record streaming state of this fitted detector, which
+    /// [`AnomalyScorer::score_series`] replays over a whole trace.
     ///
     /// # Panics
     /// Panics if the detector is unfitted.
@@ -98,33 +55,29 @@ impl AnomalyScorer for EwmaDetector {
         "EWMA"
     }
 
+    /// Each feature's error scale is the standard deviation of its raw
+    /// one-step errors over every training record, read from the same
+    /// per-record step the streaming state scores with.
     fn fit(&mut self, train: &[&TimeSeries]) {
         let _sp = exathlon_linalg::obs::span("train", "EWMA.fit");
         assert!(!train.is_empty(), "no training traces");
         let m = train[0].dims();
         let mut per_feature: Vec<Vec<f64>> = vec![Vec::new(); m];
+        let mut levels = EwmaLevels::new(self.config.alpha, m);
         for ts in train {
-            for errs in self.errors(ts) {
-                for (j, e) in errs.iter().enumerate() {
-                    per_feature[j].push(*e);
-                }
+            levels.reset();
+            for record in ts.records() {
+                levels.step(record, |j, e| per_feature[j].push(e));
             }
         }
         self.error_scale =
             per_feature.iter().map(|es| exathlon_linalg::stats::std_dev(es).max(1e-6)).collect();
     }
 
+    /// A replay of [`EwmaDetector::streaming`]: one recurrence, two drivers.
     fn score_series(&self, ts: &TimeSeries) -> Vec<f64> {
         let _sp = exathlon_linalg::obs::span("score", "EWMA.series");
-        assert!(!self.error_scale.is_empty(), "detector not fitted");
-        assert_eq!(ts.dims(), self.error_scale.len(), "dimension mismatch");
-        self.errors(ts)
-            .iter()
-            .map(|errs| {
-                // Max absolute z-scored error across features.
-                errs.iter().zip(&self.error_scale).map(|(e, s)| (e / s).abs()).fold(0.0, f64::max)
-            })
-            .collect()
+        crate::stream::replay(&mut self.streaming(), ts)
     }
 }
 

@@ -1,27 +1,77 @@
 //! Streaming EWMA forecaster: the per-tick state of a fitted
 //! [`crate::ewma::EwmaDetector`].
 //!
-//! The batch detector's `errors` recurrence is already online — one level
-//! per feature, updated record by record. This struct carries exactly
-//! that state across `update` calls, so replaying a trace reproduces
-//! [`crate::AnomalyScorer::score_series`] *bitwise*: same per-feature
-//! operation order, same NaN-gap semantics (a missing value contributes a
-//! 0 error and leaves the level untouched), same max-|z| aggregation.
+//! This is EWMA's one recurrence: one level per feature, advanced record
+//! by record. The batch detector's `score_series` replays a fresh copy of
+//! this state, and its `fit` reads each feature's raw one-step error from
+//! the same per-record step, so batch and stream cannot drift apart.
+//! A missing value is a gap: it contributes a 0 error and leaves the
+//! level untouched.
 
 use super::StreamingDetector;
 use exathlon_linalg::codec::{ByteReader, ByteWriter, CodecError};
+
+/// Per-feature EWMA levels of one trace: the recurrence without the
+/// fitted error scale, which `fit` does not have yet.
+#[derive(Debug, Clone)]
+pub(crate) struct EwmaLevels {
+    alpha: f64,
+    /// Per-feature forecast level; NaN = no finite observation yet.
+    level: Vec<f64>,
+    /// False until the first record of the trace initializes the levels.
+    started: bool,
+}
+
+impl EwmaLevels {
+    pub(crate) fn new(alpha: f64, dims: usize) -> Self {
+        Self { alpha, level: vec![f64::NAN; dims], started: false }
+    }
+
+    /// Advance the levels by one record and hand each feature's raw
+    /// one-step forecast error to `emit(feature, error)`, in feature
+    /// order. Record 0 of a trace and a feature's first finite value
+    /// have nothing to forecast from: their error is 0.
+    pub(crate) fn step(&mut self, record: &[f64], mut emit: impl FnMut(usize, f64)) {
+        if !self.started {
+            // Levels take the record's values (NaN = still uninitialized).
+            self.level.copy_from_slice(record);
+            self.started = true;
+            for j in 0..record.len() {
+                emit(j, 0.0);
+            }
+            return;
+        }
+        let a = self.alpha;
+        for (j, &x) in record.iter().enumerate() {
+            let err = if x.is_nan() {
+                // Gap: no forecast, no level update.
+                0.0
+            } else if self.level[j].is_nan() {
+                // First finite observation: initialize, nothing to forecast.
+                self.level[j] = x;
+                0.0
+            } else {
+                let e = x - self.level[j];
+                self.level[j] += a * (x - self.level[j]);
+                e
+            };
+            emit(j, err);
+        }
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.level.fill(f64::NAN);
+        self.started = false;
+    }
+}
 
 /// Per-tick EWMA forecast state. Build via
 /// [`crate::ewma::EwmaDetector::streaming`].
 #[derive(Debug, Clone)]
 pub struct StreamingEwma {
-    alpha: f64,
     /// Per-feature training error scale (the batch fit's normalizer).
     error_scale: Vec<f64>,
-    /// Per-feature forecast level; NaN = no finite observation yet.
-    level: Vec<f64>,
-    /// False until the first record of the trace initializes the levels.
-    started: bool,
+    levels: EwmaLevels,
 }
 
 impl StreamingEwma {
@@ -32,22 +82,22 @@ impl StreamingEwma {
     pub fn new(alpha: f64, error_scale: Vec<f64>) -> Self {
         assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
         assert!(!error_scale.is_empty(), "empty error scale");
-        let dims = error_scale.len();
-        Self { alpha, error_scale, level: vec![f64::NAN; dims], started: false }
+        let levels = EwmaLevels::new(alpha, error_scale.len());
+        Self { error_scale, levels }
     }
 
     /// The record width the detector scores.
     pub fn dims(&self) -> usize {
-        self.level.len()
+        self.error_scale.len()
     }
 
     /// Serialize the full state — fitted scales *and* the in-flight
     /// levels, so a restored detector continues the trace mid-stream.
     pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_f64(self.alpha);
+        w.put_f64(self.levels.alpha);
         w.put_f64s(&self.error_scale);
-        w.put_f64s(&self.level);
-        w.put_bool(self.started);
+        w.put_f64s(&self.levels.level);
+        w.put_bool(self.levels.started);
     }
 
     /// Decode state written by [`StreamingEwma::encode`].
@@ -62,7 +112,7 @@ impl StreamingEwma {
             return Err(CodecError::Corrupt("EWMA state length mismatch"));
         }
         let started = r.get_bool()?;
-        Ok(Self { alpha, error_scale, level, started })
+        Ok(Self { error_scale, levels: EwmaLevels { alpha, level, started } })
     }
 }
 
@@ -71,40 +121,17 @@ impl StreamingDetector for StreamingEwma {
         "EWMA"
     }
 
+    /// The max |z-scored error| across features.
     fn update(&mut self, record: &[f64]) -> f64 {
-        assert_eq!(record.len(), self.level.len(), "dimension mismatch");
-        if !self.started {
-            // Record 0 of the batch recurrence: levels take the record's
-            // values (NaN = still uninitialized), error is 0 everywhere.
-            self.level.copy_from_slice(record);
-            self.started = true;
-            return 0.0;
-        }
-        let a = self.alpha;
+        assert_eq!(record.len(), self.dims(), "dimension mismatch");
+        let scale = &self.error_scale;
         let mut score = 0.0f64;
-        for (j, &x) in record.iter().enumerate() {
-            let err = if x.is_nan() {
-                // Gap: no forecast, no level update.
-                0.0
-            } else if self.level[j].is_nan() {
-                // First finite observation: initialize, nothing to forecast.
-                self.level[j] = x;
-                0.0
-            } else {
-                let e = x - self.level[j];
-                self.level[j] += a * (x - self.level[j]);
-                e
-            };
-            score = score.max((err / self.error_scale[j]).abs());
-        }
+        self.levels.step(record, |j, err| score = score.max((err / scale[j]).abs()));
         score
     }
 
     fn reset(&mut self) {
-        for l in &mut self.level {
-            *l = f64::NAN;
-        }
-        self.started = false;
+        self.levels.reset();
     }
 }
 

@@ -12,7 +12,8 @@
 //!   [`crate::AnomalyScorer`]: `update(&[f64]) -> f64` per record,
 //!   `reset()` between traces,
 //! * [`StreamingEwma`] — the fitted EWMA forecaster's per-tick state
-//!   ([`crate::ewma::EwmaDetector::streaming`]), bitwise equal to batch,
+//!   ([`crate::ewma::EwmaDetector::streaming`]), which batch scoring
+//!   replays,
 //! * [`CusumDetector`] / [`PageHinkleyDetector`] — O(1) mean-shift /
 //!   drift detectors over per-feature robust z-scores,
 //! * [`HistogramDetector`] — per-feature streaming histogram rarity
@@ -25,15 +26,16 @@
 //!   sets through the shared distance kernel.
 //!
 //! **Equivalence contract.** Replaying a trace record-by-record through
-//! `update` reproduces the batch scorer's output: bitwise for EWMA, kNN
-//! and LOF (identical arithmetic against identical state), and
-//! window-shifted for AE (the streaming score at tick `t` is the batch
-//! score of the window *ending* at `t` — a stream cannot average in
-//! windows it has not seen). The O(1) detectors implement
-//! [`crate::AnomalyScorer`] too; their `score_series` replays a fresh
-//! copy of their own streaming state, so batch and stream are one
-//! recurrence with two drivers. `crates/ad/tests/stream_equivalence.rs`
-//! pins all of this on random traces.
+//! `update` reproduces the batch scorer's output: bitwise for kNN and LOF
+//! (identical arithmetic against identical state), and window-shifted
+//! for AE (the streaming score at tick `t` is the batch score of the
+//! window *ending* at `t` — a stream cannot average in windows it has
+//! not seen). EWMA and the O(1) detectors have a single recurrence: their
+//! `score_series` replays a fresh copy of their streaming state, so batch
+//! and stream are one recurrence with two drivers (EWMA's `fit` reads its
+//! training errors from the same per-record step).
+//! `crates/ad/tests/stream_equivalence.rs` pins all of this on random
+//! traces.
 
 pub mod adapters;
 pub mod cusum;

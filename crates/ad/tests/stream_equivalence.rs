@@ -2,13 +2,14 @@
 //! replaying any trace record-by-record through a `StreamingDetector`
 //! reproduces the batch scorer.
 //!
-//! * EWMA / kNN / LOF: **bitwise** — the streaming path runs identical
+//! * kNN / LOF: **bitwise** — the streaming path runs identical
 //!   arithmetic against identical fitted state (the distance kernel pins
 //!   each query row independent of batch shape),
-//! * CUSUM / Page-Hinkley / Histogram / Spectral Residual: **bitwise** —
-//!   their `score_series` *is* a replay of a fresh clone, so batch and
-//!   stream are one recurrence with two drivers, and replay must also be
-//!   insensitive to whatever state an earlier trace left behind,
+//! * EWMA / CUSUM / Page-Hinkley / Histogram / Spectral Residual:
+//!   **bitwise** — their `score_series` *is* a replay of fresh streaming
+//!   state, so batch and stream are one recurrence with two drivers, and
+//!   replay must also be insensitive to whatever state an earlier trace
+//!   left behind,
 //! * AE: **window-shifted** — the streaming score at tick `t` equals the
 //!   batch score of the window ending at `t` (a stream cannot average in
 //!   future windows); warm-up ticks are zero.

@@ -1,8 +1,8 @@
 //! Streaming engine latency: per-record `update` cost of every
-//! `StreamMethod`, fitted exactly as the replay driver fits them.
-//! The `bench_stream` binary snapshots the same numbers to
-//! `results/BENCH_stream.json`; this Criterion harness is for local
-//! regression hunting with statistics.
+//! `StreamMethod`, fitted exactly as the replay driver fits them, on one
+//! thread. For local regression hunting (median ± IQR); the served
+//! per-record cost is measured by the repository benchmark
+//! (`perfbench`, `stream.update_ns.*`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use exathlon_core::config::StreamMethod;

@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the fused training step (SIMD elementwise
 //! kernels + reused per-network workspaces). One group per learned model:
 //! dense autoencoder batch, LSTM BPTT batch, and the BiGAN adversarial
-//! two-step. `bench_train` (the binary) holds the headline epoch
-//! numbers; these are the per-step views.
+//! two-step, one minibatch per iteration. The steps' steady-state
+//! allocation counts are gated by `tests/training_gates.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use exathlon_linalg::Matrix;

@@ -1,7 +1,8 @@
 //! # exathlon-ed
 //!
-//! The explanation-discovery methods of the Exathlon experimental study
-//! (§6.3, Appendix D.3), re-implemented from scratch:
+//! The three explanation-discovery methods the Exathlon experimental
+//! study evaluates (§6.3, Table 5, Appendix D.3), re-implemented from
+//! scratch:
 //!
 //! * [`exstream`] — **EXstream** (Zhang, Diao, Meliou; EDBT'17):
 //!   entropy-based single-feature rewards, reward-leap feature selection,
@@ -11,9 +12,6 @@
 //! * [`macrobase`] — **MacroBase**'s ED module (Bailis et al.; SIGMOD'17):
 //!   equal-width binning of numeric features, risk-ratio screening, and an
 //!   Apriori-style search over itemsets. Model-free.
-//! * [`shap`] — **KernelSHAP** (Lundberg & Lee; NIPS'17): Shapley-value
-//!   attributions via the kernel-regression estimator, with the exact
-//!   endpoint constraints. Model-dependent, not predictive.
 //! * [`lime`] — **LIME** (Ribeiro et al.; KDD'16) in its recurrent-tabular
 //!   form: perturbation sampling around the anomalous window, a proximity
 //!   kernel, and a weighted [Lasso](lasso) (k = 5) producing per-(feature,
@@ -30,10 +28,8 @@ pub mod exstream;
 pub mod lasso;
 pub mod lime;
 pub mod macrobase;
-pub mod shap;
 
 pub use explanation::{Conjunction, Explanation, Predicate};
 pub use exstream::ExstreamExplainer;
 pub use lime::LimeExplainer;
 pub use macrobase::MacroBaseExplainer;
-pub use shap::ShapExplainer;

@@ -2,17 +2,19 @@
 //! single bit of pipeline output — guards only read clocks — and the
 //! emitted report must parse as JSON and cover every named pipeline stage
 //! (simulate / partition / transform / train / score / threshold /
-//! evaluate / ed).
+//! evaluate / ed). A profiled streaming replay meters exactly the records
+//! it replays.
 //!
 //! Everything lives in one test function: `EXATHLON_PROFILE` is
 //! process-global state, so the unprofiled and profiled runs must be
 //! strictly sequential.
 
-use exathlon::core::config::{AdMethod, ExperimentConfig};
+use exathlon::core::config::{AdMethod, ExperimentConfig, StreamMethod};
 use exathlon::core::edrun::{collect_cases, evaluate_ed, EdMethodKind, EdRunner};
 use exathlon::core::experiment::run_pipeline;
 use exathlon::core::model::TrainingBudget;
 use exathlon::core::obs;
+use exathlon::core::replay::run_replay;
 use exathlon::metrics::presets::AdLevel;
 use exathlon::sparksim::dataset::DatasetBuilder;
 
@@ -125,6 +127,19 @@ fn profiled_run_is_bitwise_identical_and_report_covers_every_stage() {
     let text = std::fs::read_to_string(&path).expect("report file readable");
     serde_json::parse_value(&text).expect("emitted report file must parse");
     assert!(path.ends_with(obs::REPORT_FILE));
+
+    // The streaming replay meters exactly the records it replays.
+    obs::reset();
+    let ds = DatasetBuilder::tiny(11).build();
+    let config = ExperimentConfig { resample_interval: 2, ..ExperimentConfig::default() };
+    let run = run_replay(&ds, &config, &StreamMethod::ALL, TrainingBudget::Quick);
+    let per_method: usize = run.tests.iter().map(|t| t.series.len()).sum();
+    let metered = obs::report().counters.iter().find(|(k, _)| k == "stream.records").map(|c| c.1);
+    assert_eq!(
+        metered,
+        Some((per_method * StreamMethod::ALL.len()) as u64),
+        "stream.records disagrees with the replayed record count"
+    );
 
     std::env::remove_var(obs::PROFILE_ENV);
     obs::refresh();

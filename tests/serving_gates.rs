@@ -11,15 +11,17 @@
 //!
 //! Every served score is checked bitwise against a local twin.
 //!
-//! The binary installs a counting global allocator and hands the serving
-//! tiers a per-thread probe ([`set_alloc_probe`]). Each worker reads the
-//! probe once, at spawn, and tests run in parallel, so every test
-//! installs it before it binds anything.
+//! The binary installs the counting global allocator of `common::alloc`
+//! and hands the serving tiers its per-thread probe ([`set_alloc_probe`]).
+//! Each worker reads the probe once, at spawn, and tests run in
+//! parallel, so every test installs it before it binds anything.
 
 mod common {
+    pub mod alloc;
     pub mod serving;
 }
 
+use common::alloc::thread_allocs;
 use common::serving::{fitted, prepared, Client, Tenant};
 use exathlon_core::checkpoint::ServingProfile;
 use exathlon_core::config::{ExperimentConfig, StreamMethod};
@@ -31,51 +33,8 @@ use exathlon_linalg::pca::{ComponentSelection, Pca};
 use exathlon_linalg::Matrix;
 use exathlon_tsdata::scale::{DynamicScaler, StandardScaler};
 use exathlon_tsdata::TimeSeries;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
-
-/// Global allocator that counts allocations per thread. The thread-local
-/// is const-initialized (no lazy init, no destructor), so reading it
-/// from inside the allocator cannot recurse into the allocator.
-struct CountingAlloc;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(|c| c.get())
-}
-
-fn bump() {
-    THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s guarantees are the caller's; the count lives in a
-// const-initialized thread-local, which never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Records each tenant cycles through.
 const RECORDS: usize = 200;
