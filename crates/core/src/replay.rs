@@ -145,16 +145,16 @@ pub fn stream_seed(experiment_seed: u64, method: StreamMethod) -> u64 {
     }
 }
 
-/// Replay one trace record-by-record: `reset`, then one `update` per
-/// record. Meters the per-record cost into the observability counters —
-/// `stream.records` and `stream.score_ns` accumulate totals across
-/// calls; `stream.ns_per_record` adds each trace's average (so a
-/// single-trace replay reads directly as per-record latency).
+/// Replay one trace through [`exathlon_ad::stream::replay`] (`reset`,
+/// then one `update` per record), metering the per-record cost into the
+/// observability counters — `stream.records` and `stream.score_ns`
+/// accumulate totals across calls; `stream.ns_per_record` adds each
+/// trace's average (so a single-trace replay reads directly as
+/// per-record latency).
 pub fn replay_series(det: &mut dyn StreamingDetector, ts: &TimeSeries) -> Vec<f64> {
     let _sp = crate::obs::span("score", "stream.replay");
     let start = std::time::Instant::now();
-    det.reset();
-    let scores: Vec<f64> = ts.records().map(|r| det.update(r)).collect();
+    let scores = exathlon_ad::stream::replay(det, ts);
     let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     crate::obs::counter("stream.records", ts.len() as u64);
     crate::obs::counter("stream.score_ns", ns);

@@ -165,23 +165,6 @@ impl FittedTransform {
         resample_mean(&extracted, self.resample_l)
     }
 
-    /// Public form of the unscaled test transform, for callers that feed
-    /// the serving layer: extract + resample a raw trace, leaving the
-    /// dynamic scaling to the per-tenant [`DynamicScaler`] owned by the
-    /// serving profile.
-    pub fn extract_unscaled(&self, base: &TimeSeries) -> TimeSeries {
-        self.extract_and_resample(base)
-    }
-
-    /// A fresh test-time dynamic scaler seeded from this transform's
-    /// training statistics — the same construction
-    /// [`FittedTransform::apply_test`] performs per trace. Serving
-    /// profiles own one of these per tenant so each entity adapts to its
-    /// own context.
-    pub fn serving_scaler(&self) -> DynamicScaler {
-        DynamicScaler::from_standard(self.scaler.clone(), DYNAMIC_ALPHA)
-    }
-
     /// Transform a test segment: extract, resample, dynamically rescale,
     /// and project the ground truth into record-index space.
     ///

@@ -42,6 +42,13 @@
 //! stay public for those suites and the benches; no production path
 //! calls them.
 //!
+//! # One body per kernel
+//!
+//! Each kernel's loops and dispatch live only in its `_into` form (e.g.
+//! [`matmul_into`]), which writes into a caller-reused buffer of any
+//! prior shape or contents; the allocating form hands it a fresh buffer,
+//! so both return the same bits by construction.
+//!
 //! # Parallelism
 //!
 //! Large GEMMs fan out over **fixed-size row blocks** of the output on the
@@ -532,11 +539,50 @@ fn gemm_serial<const V: u8>(
     });
 }
 
-/// Dispatch a GEMM: serial for small problems, fixed-size row blocks of
-/// the output fanned out on the shared worker pool for large ones. The
-/// decomposition depends only on `m`, so results are bitwise identical
-/// for every thread count.
-fn gemm_dispatch<const V: u8>(
+/// Blocked `A·B`. Bitwise identical to [`naive_matmul`] for finite
+/// inputs (see module docs for the one NaN/∞ caveat).
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    matmul_into(a, b, &mut out);
+    out
+}
+
+/// Blocked `A·Bᵀ` without materializing the transpose: `out[i][j] =
+/// Σ_k a[i][k]·b[j][k]`, both operands streamed contiguously.
+///
+/// # Panics
+/// Panics unless `a.cols() == b.cols()`.
+pub fn matmul_transpose(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    matmul_transpose_into(a, b, &mut Matrix::default(), &mut out);
+    out
+}
+
+/// Blocked `Aᵀ·B` without materializing the transpose: `out[i][j] =
+/// Σ_k a[k][i]·b[k][j]` — a stream of rank-1 updates with both rows
+/// contiguous (the `dzᵀ·x` shape of dense-layer backprop and the
+/// `DᵀD` shape of covariance).
+///
+/// # Panics
+/// Panics unless `a.rows() == b.rows()`.
+pub fn transpose_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    transpose_matmul_into(a, b, &mut out);
+    out
+}
+
+/// Drive a GEMM into a caller-reused output buffer: `out` is reshaped in
+/// place (reusing its allocation) and zero-filled once, then written
+/// serially below the fan-out threshold and as fixed `ROW_BLOCK` slabs on
+/// the shared worker pool above it. The decomposition depends only on
+/// `m`, so results are bitwise identical for every thread count. The slab
+/// copies in the parallel branch are the only transient allocations, and
+/// training-shape problems (tens of rows) never reach it.
+#[allow(clippy::too_many_arguments)] // mirrors the BLAS-style gemm_serial signature
+fn gemm_into<const V: u8>(
     m: usize,
     n: usize,
     kdim: usize,
@@ -544,16 +590,20 @@ fn gemm_dispatch<const V: u8>(
     lda: usize,
     b: &[f64],
     ldb: usize,
-) -> Vec<f64> {
+    out: &mut Matrix,
+) {
     crate::obs::counter("kernel.gemm", 1);
+    // Truncate first so the resize zero-fills every cell exactly once,
+    // whether `out` arrives fresh, dirty or wrongly shaped.
+    out.reset(0, 0);
+    out.reset(m, n);
     // Below ~2 row blocks or ~128k flop there is nothing to win from
     // fan-out, and with a single-worker pool the slab round-trip is pure
     // overhead; the serial kernel gives the bitwise-same answer either
     // way (fixed blocks, ascending `k`).
     if m < 2 * ROW_BLOCK || m * n * kdim < 131_072 || crate::par::max_threads() <= 1 {
-        let mut out = vec![0.0; m * n];
-        gemm_serial::<V>(m, n, kdim, a, lda, b, ldb, &mut out, n.max(1));
-        return out;
+        gemm_serial::<V>(m, n, kdim, a, lda, b, ldb, out.as_mut_slice(), n.max(1));
+        return;
     }
     crate::obs::counter("kernel.gemm_parallel", 1);
     let blocks: Vec<(usize, usize)> =
@@ -568,121 +618,6 @@ fn gemm_dispatch<const V: u8>(
         gemm_serial::<V>(rows, n, kdim, a_block, lda, b, ldb, &mut slab, n);
         slab
     });
-    let mut out = Vec::with_capacity(m * n);
-    for slab in slabs {
-        out.extend_from_slice(&slab);
-    }
-    out
-}
-
-/// Blocked `A·B`. Bitwise identical to [`naive_matmul`] for finite
-/// inputs (see module docs for the one NaN/∞ caveat).
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul dimension mismatch: {}x{} * {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let data = gemm_dispatch::<{ gemm::AB }>(m, n, k, a.as_slice(), k, b.as_slice(), n);
-    Matrix::from_vec(m, n, data)
-}
-
-/// Blocked `A·Bᵀ` without materializing the transpose: `out[i][j] =
-/// Σ_k a[i][k]·b[j][k]`, both operands streamed contiguously.
-///
-/// # Panics
-/// Panics unless `a.cols() == b.cols()`.
-pub fn matmul_transpose(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_transpose dimension mismatch: {}x{} * ({}x{})^T",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let (m, k) = a.shape();
-    let n = b.rows();
-    // With a SIMD family active, materialize `Bᵀ` once (O(n·k), blocked)
-    // so the vector tiles get contiguous `j` lanes; same products in the
-    // same per-element order, so the result is value-identical to the
-    // direct `A·Bᵀ` walk.
-    let data = if isa() == Isa::Scalar {
-        gemm_dispatch::<{ gemm::ABT }>(m, n, k, a.as_slice(), k, b.as_slice(), k)
-    } else {
-        let bt = b.transpose();
-        gemm_dispatch::<{ gemm::AB }>(m, n, k, a.as_slice(), k, bt.as_slice(), n)
-    };
-    Matrix::from_vec(m, n, data)
-}
-
-/// Blocked `Aᵀ·B` without materializing the transpose: `out[i][j] =
-/// Σ_k a[k][i]·b[k][j]` — a stream of rank-1 updates with both rows
-/// contiguous (the `dzᵀ·x` shape of dense-layer backprop and the
-/// `DᵀD` shape of covariance).
-///
-/// # Panics
-/// Panics unless `a.rows() == b.rows()`.
-pub fn transpose_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "transpose_matmul dimension mismatch: ({}x{})^T * {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let (kdim, m) = a.shape();
-    let n = b.cols();
-    let data = gemm_dispatch::<{ gemm::ATB }>(m, n, kdim, a.as_slice(), m, b.as_slice(), n);
-    Matrix::from_vec(m, n, data)
-}
-
-/// Drive a GEMM into a caller-reused output buffer: `out` is reshaped in
-/// place (reusing its allocation), zero-filled, and written with the same
-/// dispatch rule as [`gemm_dispatch`] — serial below the fan-out
-/// threshold, fixed `ROW_BLOCK` slabs above it. The slab copies in the
-/// parallel branch are the only transient allocations, and training-shape
-/// problems (tens of rows) never reach it.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS-style gemm_serial signature
-fn gemm_into<const V: u8>(
-    m: usize,
-    n: usize,
-    kdim: usize,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    out: &mut Matrix,
-) {
-    crate::obs::counter("kernel.gemm", 1);
-    out.reset(m, n);
-    out.as_mut_slice().fill(0.0);
-    if m < 2 * ROW_BLOCK || m * n * kdim < 131_072 || crate::par::max_threads() <= 1 {
-        gemm_serial::<V>(m, n, kdim, a, lda, b, ldb, out.as_mut_slice(), n.max(1));
-        return;
-    }
-    crate::obs::counter("kernel.gemm_parallel", 1);
-    let blocks: Vec<(usize, usize)> =
-        (0..m).step_by(ROW_BLOCK).map(|s| (s, (s + ROW_BLOCK).min(m))).collect();
-    let slabs: Vec<Vec<f64>> = crate::par::par_map(&blocks, |&(start, end)| {
-        let rows = end - start;
-        let mut slab = vec![0.0; rows * n];
-        let a_block = if V == gemm::ATB { &a[start..] } else { &a[start * lda..] };
-        gemm_serial::<V>(rows, n, kdim, a_block, lda, b, ldb, &mut slab, n);
-        slab
-    });
     let data = out.as_mut_slice();
     let mut off = 0;
     for slab in slabs {
@@ -691,8 +626,9 @@ fn gemm_into<const V: u8>(
     }
 }
 
-/// [`matmul`] into a caller-reused buffer — bitwise-identical contents,
-/// no fresh allocation once `out` has grown to the steady-state shape.
+/// `A·B` into a caller-reused buffer (any prior shape or contents) — the
+/// body behind [`matmul`]; no fresh allocation once `out` has grown to
+/// the steady-state shape.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -711,11 +647,12 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     gemm_into::<{ gemm::AB }>(m, n, k, a.as_slice(), k, b.as_slice(), n, out);
 }
 
-/// [`matmul_transpose`] into a caller-reused buffer. With a SIMD family
-/// active the kernel materializes `Bᵀ` — here it lands in the
-/// caller-reused `bt` scratch instead of a fresh allocation (untouched on
-/// the scalar path, which walks `A·Bᵀ` directly). Bitwise identical to
-/// [`matmul_transpose`] under every ISA.
+/// `A·Bᵀ` into a caller-reused buffer — the body behind
+/// [`matmul_transpose`]. With a SIMD family active the kernel
+/// materializes `Bᵀ` into the caller-reused `bt` scratch (O(n·k),
+/// blocked) so the vector tiles get contiguous `j` lanes; same products
+/// in the same per-element order, so the result is value-identical to
+/// the direct `A·Bᵀ` walk the scalar path takes (leaving `bt` untouched).
 ///
 /// # Panics
 /// Panics unless `a.cols() == b.cols()`.
@@ -739,9 +676,10 @@ pub fn matmul_transpose_into(a: &Matrix, b: &Matrix, bt: &mut Matrix, out: &mut 
     }
 }
 
-/// [`transpose_matmul`] into a caller-reused buffer — bitwise-identical
-/// contents, no fresh allocation at steady state (the `dzᵀ·x` gradient
-/// shape of dense-layer backprop, accumulated without an intermediate).
+/// `Aᵀ·B` into a caller-reused buffer — the body behind
+/// [`transpose_matmul`]; no fresh allocation at steady state (the `dzᵀ·x`
+/// gradient shape of dense-layer backprop, accumulated without an
+/// intermediate).
 ///
 /// # Panics
 /// Panics unless `a.rows() == b.rows()`.
@@ -764,78 +702,31 @@ pub fn transpose_matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 // Vector kernels
 // ---------------------------------------------------------------------------
 
-/// `A·v`. Four output rows are computed per pass so `v` is loaded once
-/// per quad instead of once per row; each output keeps a single
-/// accumulator walking `k` in order (bitwise equal to the naive dot).
+/// `A·v` into a fresh vector; see [`matvec_into`].
 ///
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn matvec(a: &Matrix, v: &[f64]) -> Vec<f64> {
-    assert_eq!(a.cols(), v.len(), "matvec dimension mismatch");
-    let (m, k) = a.shape();
-    let data = a.as_slice();
-    let mut out = Vec::with_capacity(m);
-    let m_full = m - m % MR;
-    for i in (0..m_full).step_by(MR) {
-        let r0 = &data[i * k..(i + 1) * k];
-        let r1 = &data[(i + 1) * k..(i + 2) * k];
-        let r2 = &data[(i + 2) * k..(i + 3) * k];
-        let r3 = &data[(i + 3) * k..(i + 4) * k];
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-        for (j, &vj) in v.iter().enumerate() {
-            s0 += r0[j] * vj;
-            s1 += r1[j] * vj;
-            s2 += r2[j] * vj;
-            s3 += r3[j] * vj;
-        }
-        out.extend_from_slice(&[s0, s1, s2, s3]);
-    }
-    for i in m_full..m {
-        out.push(dot(&data[i * k..(i + 1) * k], v));
-    }
+    let mut out = Vec::new();
+    matvec_into(a, v, &mut out);
     out
 }
 
-/// `Aᵀ·v` without materializing the transpose. Four input rows are
-/// folded per pass; the adds into each output element stay in row order
-/// (`((o + t₀) + t₁) + …`), matching the naive row-at-a-time loop.
+/// `Aᵀ·v` into a fresh vector; see [`transpose_matvec_into`].
 ///
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn transpose_matvec(a: &Matrix, v: &[f64]) -> Vec<f64> {
-    assert_eq!(a.rows(), v.len(), "transpose_matvec dimension mismatch");
-    let (m, n) = a.shape();
-    let data = a.as_slice();
-    let mut out = vec![0.0; n];
-    let m_full = m - m % MR;
-    for i in (0..m_full).step_by(MR) {
-        let (v0, v1, v2, v3) = (v[i], v[i + 1], v[i + 2], v[i + 3]);
-        let r0 = &data[i * n..(i + 1) * n];
-        let r1 = &data[(i + 1) * n..(i + 2) * n];
-        let r2 = &data[(i + 2) * n..(i + 3) * n];
-        let r3 = &data[(i + 3) * n..(i + 4) * n];
-        for (j, o) in out.iter_mut().enumerate() {
-            let mut acc = *o;
-            acc += v0 * r0[j];
-            acc += v1 * r1[j];
-            acc += v2 * r2[j];
-            acc += v3 * r3[j];
-            *o = acc;
-        }
-    }
-    for i in m_full..m {
-        let vi = v[i];
-        let row = &data[i * n..(i + 1) * n];
-        for (o, &r) in out.iter_mut().zip(row) {
-            *o += vi * r;
-        }
-    }
+    let mut out = Vec::new();
+    transpose_matvec_into(a, v, &mut out);
     out
 }
 
-/// [`matvec`] into a caller-reused vector: `clear` + the identical
-/// quad-row loop, so contents are bitwise equal and the allocation is
-/// reused once it has grown to the steady-state length.
+/// `A·v` into a caller-reused vector (any prior length or contents). Four
+/// output rows are computed per pass so `v` is loaded once per quad
+/// instead of once per row; each output keeps a single accumulator
+/// walking `k` in order (bitwise equal to the naive dot). The allocation
+/// is reused once it has grown to the steady-state length.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -865,9 +756,10 @@ pub fn matvec_into(a: &Matrix, v: &[f64], out: &mut Vec<f64>) {
     }
 }
 
-/// [`transpose_matvec`] into a caller-reused vector — bitwise-identical
-/// contents (same quad folds, same row-order adds), no fresh allocation
-/// at steady state.
+/// `Aᵀ·v` into a caller-reused vector, without materializing the
+/// transpose. Four input rows are folded per pass; the adds into each
+/// output element stay in row order (`((o + t₀) + t₁) + …`), matching the
+/// naive row-at-a-time loop. No fresh allocation at steady state.
 ///
 /// # Panics
 /// Panics on dimension mismatch.

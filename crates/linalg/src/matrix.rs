@@ -154,22 +154,11 @@ impl Matrix {
     /// striding the whole matrix, which is what made the plain double
     /// loop (`kernel::naive_transpose`) an O(n²)-cache-miss hot spot in
     /// PCA and LSTM backward. The output is a pure permutation of the
-    /// input — value-identical to the naive loop.
+    /// input — value-identical to the naive loop. Wraps
+    /// [`Matrix::transpose_into`] with a fresh buffer.
     pub fn transpose(&self) -> Matrix {
-        const TILE: usize = 32;
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for ib in (0..self.rows).step_by(TILE) {
-            let i_end = (ib + TILE).min(self.rows);
-            for jb in (0..self.cols).step_by(TILE) {
-                let j_end = (jb + TILE).min(self.cols);
-                for i in ib..i_end {
-                    let row = &self.data[i * self.cols..(i + 1) * self.cols];
-                    for (j, &v) in row.iter().enumerate().take(j_end).skip(jb) {
-                        out.data[j * self.rows + i] = v;
-                    }
-                }
-            }
-        }
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
         out
     }
 
@@ -213,9 +202,9 @@ impl Matrix {
         crate::kernel::transpose_matvec(self, v)
     }
 
-    /// [`Matrix::transpose`] into a caller-reused buffer: same cache-tiled
-    /// permutation, no fresh allocation once `out` has grown to the
-    /// steady-state shape. Every output cell is written, so the
+    /// [`Matrix::transpose`] into a caller-reused buffer: the one body of
+    /// the cache-tiled permutation, no fresh allocation once `out` has
+    /// grown to the steady-state shape. Every output cell is written, so the
     /// unspecified contents left by [`Matrix::reset`] never leak through.
     pub fn transpose_into(&self, out: &mut Matrix) {
         const TILE: usize = 32;
@@ -245,13 +234,6 @@ impl Matrix {
     /// Element-wise map into a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
-    }
-
-    /// Element-wise map in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
     }
 
     /// Element-wise (Hadamard) product.
@@ -292,11 +274,6 @@ impl Matrix {
         m
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
@@ -317,19 +294,9 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Return a sub-matrix consisting of the given rows (copied).
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &i in indices {
-            data.extend_from_slice(self.row(i));
-        }
-        Matrix { rows: indices.len(), cols: self.cols, data }
-    }
-
-    /// [`Matrix::select_rows`] into a caller-reused buffer: one
+    /// Copy the given rows into a caller-reused buffer: one
     /// `copy_from_slice` per selected row, no fresh allocation once `out`
-    /// has grown to the steady-state batch shape. Bitwise identical
-    /// contents to `select_rows`.
+    /// has grown to the steady-state batch shape.
     pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
         out.reset(indices.len(), self.cols);
         for (k, &i) in indices.iter().enumerate() {
@@ -541,7 +508,8 @@ mod tests {
     #[test]
     fn select_rows_and_cols() {
         let a = Matrix::from_vec(3, 3, (1..=9).map(|x| x as f64).collect());
-        let r = a.select_rows(&[2, 0]);
+        let mut r = Matrix::default();
+        a.select_rows_into(&[2, 0], &mut r);
         assert_eq!(r.row(0), &[7.0, 8.0, 9.0]);
         assert_eq!(r.row(1), &[1.0, 2.0, 3.0]);
         let c = a.select_cols(&[1]);
@@ -549,14 +517,14 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_into_matches_select_rows() {
+    fn select_rows_into_matches_row_by_row_copy() {
         let a = Matrix::from_vec(4, 3, (1..=12).map(|x| x as f64).collect());
         let mut out = Matrix::zeros(0, 0);
         for indices in [vec![1, 3, 0], vec![2], vec![], vec![0, 0, 3]] {
             a.select_rows_into(&indices, &mut out);
-            let fresh = a.select_rows(&indices);
-            assert_eq!(out.shape(), fresh.shape());
-            assert_eq!(out.as_slice(), fresh.as_slice());
+            let want: Vec<f64> = indices.iter().flat_map(|&i| a.row(i).to_vec()).collect();
+            assert_eq!(out.shape(), (indices.len(), 3));
+            assert_eq!(out.as_slice(), &want[..]);
         }
     }
 
@@ -572,9 +540,8 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_and_sums() {
+    fn sum_and_max_abs() {
         let a = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.sum(), 7.0);
         assert_eq!(a.max_abs(), 4.0);
     }

@@ -5,7 +5,8 @@
 //! determinism of the row-block parallel GEMM across thread counts.
 
 use exathlon_linalg::kernel::{
-    naive_matmul, naive_matmul_transpose, naive_sq_distance, naive_transpose_matmul, DistanceKernel,
+    self, naive_matmul, naive_matmul_transpose, naive_sq_distance, naive_transpose_matmul,
+    DistanceKernel,
 };
 use exathlon_linalg::par::THREADS_ENV;
 use exathlon_linalg::Matrix;
@@ -197,5 +198,41 @@ fn parallel_gemm_is_bitwise_deterministic() {
         for (x, y) in r.as_slice().iter().zip(baseline.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "thread-count run {idx} diverged: {x} vs {y}");
         }
+    }
+}
+
+/// The `_into` GEMM forms at a shape past the fan-out threshold (≥ 2 row
+/// blocks, ≥ 128k flop) write the naive references' bits into a dirty,
+/// wrongly shaped buffer at every thread count — the serial branch at 1
+/// thread, the row-block slabs (including the `Aᵀ·B` column re-base of
+/// `A`) above it.
+#[test]
+fn parallel_gemm_into_matches_naive_at_every_thread_count() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let (m, k, n) = (200, 48, 96);
+    let a = Matrix::from_fn(m, k, |i, j| ((i * 13 + j * 29) % 101) as f64 * 0.37 - 18.0);
+    let b = Matrix::from_fn(k, n, |i, j| ((i * 41 + j * 11) % 97) as f64 * 0.21 - 10.0);
+    let bt = Matrix::from_fn(n, k, |i, j| ((i * 7 + j * 23) % 89) as f64 * 0.29 - 12.0);
+    let at = Matrix::from_fn(k, m, |i, j| ((i * 19 + j * 5) % 83) as f64 * 0.31 - 13.0);
+    let want =
+        [naive_matmul(&a, &b), naive_matmul_transpose(&a, &bt), naive_transpose_matmul(&at, &b)];
+    let prev = std::env::var(THREADS_ENV).ok();
+    for threads in ["1", "2", "8"] {
+        std::env::set_var(THREADS_ENV, threads);
+        let dirty = || Matrix::from_vec(3, 1, vec![7.0, -7.0, f64::NAN]);
+        let mut got = [dirty(), dirty(), dirty()];
+        kernel::matmul_into(&a, &b, &mut got[0]);
+        kernel::matmul_transpose_into(&a, &bt, &mut dirty(), &mut got[1]);
+        kernel::transpose_matmul_into(&at, &b, &mut got[2]);
+        for (variant, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.shape(), (m, n), "threads {threads}, variant {variant}");
+            for (x, y) in g.as_slice().iter().zip(w.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "threads {threads}, variant {variant}");
+            }
+        }
+    }
+    match prev {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
     }
 }

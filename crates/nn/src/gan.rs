@@ -8,7 +8,7 @@
 //!
 //! Training stages every per-batch intermediate — latent draws, label
 //! matrices, pair concatenations and split gradients — in a reusable
-//! [`GanWorkspace`], so steady-state steps stop allocating. The unit
+//! `GanWorkspace`, so steady-state steps stop allocating. The unit
 //! tests keep the textbook allocating step as an oracle: both consume the
 //! same RNG stream and evaluate the same expressions in the same order,
 //! so they are bitwise identical.

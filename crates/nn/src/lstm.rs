@@ -5,7 +5,7 @@
 //! Bontemps et al.): given a window of consecutive records, predict the
 //! next record; the relative forecast error becomes the outlier score.
 //!
-//! Training runs through a reusable [`LstmWorkspace`]: the per-step gate
+//! Training runs through a reusable `LstmWorkspace`: the per-step gate
 //! activations, cell and hidden states are staged row-per-step in
 //! pre-sized buffers and reused across samples, minibatches and epochs,
 //! so steady-state epochs perform no per-step allocation. The unit tests
@@ -161,17 +161,6 @@ impl Lstm {
         seq.len() / self.in_dim
     }
 
-    /// Flatten an owned per-step sequence into one record-major buffer
-    /// (the representation the core forward/backward paths consume).
-    fn flatten_seq(&self, seq: &[Vec<f64>]) -> Vec<f64> {
-        let mut flat = Vec::with_capacity(seq.len() * self.in_dim);
-        for x in seq {
-            assert_eq!(x.len(), self.in_dim, "sequence step dimension mismatch");
-            flat.extend_from_slice(x);
-        }
-        flat
-    }
-
     /// Fused forward pass staged in `ws`; returns the step count, with
     /// the prediction left in `ws.y`. One GEMM for the input-side
     /// pre-activations ([`Lstm::project`]) and the recurrence over them
@@ -256,13 +245,8 @@ impl Lstm {
         }
     }
 
-    /// Predict the next record from a sequence of input records.
-    pub fn predict(&self, seq: &[Vec<f64>]) -> Vec<f64> {
-        self.predict_flat(&self.flatten_seq(seq))
-    }
-
-    /// [`Lstm::predict`] on a flat record-major sequence buffer — e.g. a
-    /// zero-copy window view over a `TimeSeries`.
+    /// Predict the next record from a flat record-major sequence of input
+    /// records — e.g. a zero-copy window view over a `TimeSeries`.
     ///
     /// # Panics
     /// Panics if `seq.len()` is not a multiple of the input dimension.
@@ -379,16 +363,9 @@ impl Lstm {
         loss
     }
 
-    /// One minibatch step over `(sequence, target)` pairs; returns the mean
-    /// sample loss. Gradients are clipped to L2 norm 5 before the update.
-    pub fn train_batch(&mut self, batch: &[(&[Vec<f64>], &[f64])], opt: &Optimizer) -> f64 {
-        let flat: Vec<(Vec<f64>, &[f64])> =
-            batch.iter().map(|&(seq, target)| (self.flatten_seq(seq), target)).collect();
-        let views: Vec<(&[f64], &[f64])> = flat.iter().map(|(s, t)| (&s[..], *t)).collect();
-        self.train_batch_flat(&views, opt)
-    }
-
-    /// [`Lstm::train_batch`] on flat record-major sequence buffers.
+    /// One minibatch step over `(sequence, target)` pairs of flat
+    /// record-major sequence buffers; returns the mean sample loss.
+    /// Gradients are clipped to L2 norm 5 before the update.
     pub fn train_batch_flat(&mut self, batch: &[(&[f64], &[f64])], opt: &Optimizer) -> f64 {
         assert!(!batch.is_empty(), "empty batch");
         self.zero_grad();
@@ -410,28 +387,12 @@ impl Lstm {
         loss / batch.len() as f64
     }
 
-    /// Train for `epochs` over the `(sequence, target)` dataset with
-    /// shuffled minibatches; returns per-epoch mean losses.
-    pub fn fit(
-        &mut self,
-        data: &[(Vec<Vec<f64>>, Vec<f64>)],
-        epochs: usize,
-        batch_size: usize,
-        opt: &Optimizer,
-        rng: &mut StdRng,
-    ) -> Vec<f64> {
-        let flat: Vec<(Vec<f64>, &[f64])> =
-            data.iter().map(|(seq, target)| (self.flatten_seq(seq), &target[..])).collect();
-        let views: Vec<(&[f64], &[f64])> = flat.iter().map(|(s, t)| (&s[..], *t)).collect();
-        self.fit_flat(&views, epochs, batch_size, opt, rng)
-    }
-
-    /// [`Lstm::fit`] on flat record-major sequence buffers — the form the
-    /// zero-copy data plane feeds directly from window views. Consumes the
-    /// same RNG stream (one index shuffle per epoch) and performs the same
-    /// arithmetic as the owned-row path, so both are bitwise identical.
-    /// The minibatch view buffer and the training workspace are reused
-    /// across all epochs.
+    /// Train for `epochs` over the `(sequence, target)` dataset of flat
+    /// record-major sequence buffers — the form the zero-copy data plane
+    /// feeds directly from window views — with shuffled minibatches (one
+    /// index shuffle per epoch); returns per-epoch mean losses. The
+    /// minibatch view buffer and the training workspace are reused across
+    /// all epochs.
     pub fn fit_flat(
         &mut self,
         data: &[(&[f64], &[f64])],
@@ -628,7 +589,7 @@ mod tests {
         assert_eq!(lstm.out_dim(), 3);
         let expected = 4 * 8 * 3 + 4 * 8 * 8 + 4 * 8 + 3 * 8 + 3;
         assert_eq!(lstm.param_count(), expected);
-        let y = lstm.predict(&[vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]]);
+        let y = lstm.predict_flat(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
         assert_eq!(y.len(), 3);
     }
 
@@ -636,18 +597,18 @@ mod tests {
     #[test]
     fn bptt_gradients_match_finite_differences() {
         let mut lstm = Lstm::new(2, 3, 2, &mut rng());
-        let seq = vec![vec![0.5, -0.3], vec![0.2, 0.8], vec![-0.6, 0.1]];
+        let seq = [0.5, -0.3, 0.2, 0.8, -0.6, 0.1];
         let target = vec![0.3, -0.4];
 
         lstm.zero_grad();
-        let _ = lstm.backward_sequence(&seq.concat(), &target);
+        let _ = lstm.backward_sequence(&seq, &target);
         let analytic_wx = lstm.wx.grad.clone();
         let analytic_wh = lstm.wh.grad.clone();
         let analytic_b = lstm.b.grad.clone();
 
         let eps = 1e-6;
         let loss_at = |l: &Lstm| {
-            let y = l.predict(&seq);
+            let y = l.predict_flat(&seq);
             let pred = Matrix::row_vector(&y);
             let tgt = Matrix::row_vector(&target);
             mse(&pred, &tgt)
@@ -753,16 +714,13 @@ mod tests {
         let mut lstm = Lstm::new(1, 12, 1, &mut r);
         // Sequences of 8 sine samples -> next sample.
         let series: Vec<f64> = (0..200).map(|i| (i as f64 * 0.2).sin()).collect();
-        let mut data = Vec::new();
-        for start in 0..series.len() - 9 {
-            let seq: Vec<Vec<f64>> = (0..8).map(|k| vec![series[start + k]]).collect();
-            data.push((seq, vec![series[start + 8]]));
-        }
-        let history = lstm.fit(&data, 30, 16, &Optimizer::adam(0.01), &mut r);
+        let data: Vec<(&[f64], &[f64])> = (0..series.len() - 9)
+            .map(|start| (&series[start..start + 8], &series[start + 8..start + 9]))
+            .collect();
+        let history = lstm.fit_flat(&data, 30, 16, &Optimizer::adam(0.01), &mut r);
         assert!(history[29] < 0.01, "LSTM failed to learn the sine: final loss {}", history[29]);
         // Forecast quality on a fresh window.
-        let seq: Vec<Vec<f64>> = (100..108).map(|i| vec![series[i]]).collect();
-        let pred = lstm.predict(&seq)[0];
+        let pred = lstm.predict_flat(&series[100..108])[0];
         assert!((pred - series[108]).abs() < 0.3, "bad forecast {pred} vs {}", series[108]);
     }
 
@@ -770,14 +728,15 @@ mod tests {
     fn training_reduces_loss() {
         let mut r = rng();
         let mut lstm = Lstm::new(2, 6, 2, &mut r);
-        let data: Vec<(Vec<Vec<f64>>, Vec<f64>)> = (0..30)
+        let data: Vec<(Vec<f64>, Vec<f64>)> = (0..30)
             .map(|i| {
                 let t = i as f64 * 0.3;
-                let seq = vec![vec![t.sin(), t.cos()], vec![(t + 0.3).sin(), (t + 0.3).cos()]];
+                let seq = vec![t.sin(), t.cos(), (t + 0.3).sin(), (t + 0.3).cos()];
                 (seq, vec![(t + 0.6).sin(), (t + 0.6).cos()])
             })
             .collect();
-        let h = lstm.fit(&data, 40, 8, &Optimizer::adam(0.01), &mut r);
+        let views: Vec<(&[f64], &[f64])> = data.iter().map(|(s, t)| (&s[..], &t[..])).collect();
+        let h = lstm.fit_flat(&views, 40, 8, &Optimizer::adam(0.01), &mut r);
         assert!(h[39] < h[0], "loss should decrease: {} -> {}", h[0], h[39]);
     }
 
@@ -786,16 +745,9 @@ mod tests {
         let build = || {
             let mut r = StdRng::seed_from_u64(5);
             let lstm = Lstm::new(2, 4, 2, &mut r);
-            lstm.predict(&[vec![0.1, 0.2]])
+            lstm.predict_flat(&[0.1, 0.2])
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn wrong_input_dim_panics() {
-        let lstm = Lstm::new(3, 4, 3, &mut rng());
-        let _ = lstm.predict(&[vec![1.0]]);
     }
 
     #[test]
@@ -858,34 +810,6 @@ mod tests {
             seed in 0u64..1000,
         ) {
             assert_forecasts_match(in_dim, hidden, n, window, seed);
-        }
-    }
-
-    #[test]
-    fn flat_apis_match_owned_bitwise() {
-        let data: Vec<(Vec<Vec<f64>>, Vec<f64>)> = (0..20)
-            .map(|i| {
-                let t = i as f64 * 0.4;
-                let seq = vec![vec![t.sin(), t.cos()], vec![(t + 0.4).sin(), (t + 0.4).cos()]];
-                (seq, vec![(t + 0.8).sin(), (t + 0.8).cos()])
-            })
-            .collect();
-        let flat: Vec<(Vec<f64>, Vec<f64>)> =
-            data.iter().map(|(s, t)| (s.concat(), t.clone())).collect();
-        let views: Vec<(&[f64], &[f64])> = flat.iter().map(|(s, t)| (&s[..], &t[..])).collect();
-
-        let mut owned = Lstm::new(2, 5, 2, &mut rng());
-        let mut flat_net = owned.clone();
-        let h_owned = owned.fit(&data, 4, 6, &Optimizer::adam(0.01), &mut rng());
-        let h_flat = flat_net.fit_flat(&views, 4, 6, &Optimizer::adam(0.01), &mut rng());
-        assert_eq!(h_owned, h_flat);
-
-        let probe = vec![vec![0.3, -0.2], vec![0.1, 0.9], vec![-0.5, 0.4]];
-        let a = owned.predict(&probe);
-        let b = flat_net.predict_flat(&probe.concat());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 }

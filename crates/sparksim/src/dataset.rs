@@ -64,14 +64,6 @@ impl Dataset {
     pub fn total_records(&self) -> usize {
         self.undisturbed.iter().chain(&self.disturbed).map(|t| t.len()).sum()
     }
-
-    /// All traces of an application (undisturbed first).
-    pub fn traces_of_app(&self, app_id: usize) -> (Vec<&Trace>, Vec<&Trace>) {
-        (
-            self.undisturbed.iter().filter(|t| t.context.app_id == app_id).collect(),
-            self.disturbed.iter().filter(|t| t.context.app_id == app_id).collect(),
-        )
-    }
 }
 
 /// Builds [`Dataset`]s with the paper's composition at configurable scale.

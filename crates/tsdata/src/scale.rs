@@ -178,17 +178,6 @@ impl StandardScaler {
     pub fn stds(&self) -> &[f64] {
         &self.stds
     }
-
-    /// Rebuild a scaler from previously extracted moments (e.g. a
-    /// checkpoint). The moments are adopted verbatim, so a round trip
-    /// through `means()`/`stds()` is bitwise lossless.
-    ///
-    /// # Panics
-    /// Panics if the vectors disagree in length.
-    pub fn from_moments(means: Vec<f64>, stds: Vec<f64>) -> Self {
-        assert_eq!(means.len(), stds.len(), "moment length mismatch");
-        Self { means, stds }
-    }
 }
 
 impl AffineScale for StandardScaler {
